@@ -151,10 +151,11 @@ func BenchmarkFigure9Categories(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				db, _, err := core.Profile(core.ScaledConfig(), img, nil)
+				pa, err := core.ProfileStage(core.ScaledConfig(), img, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
+				db := pa.DB()
 				cz = db.Categorize()
 			}
 			b.ReportMetric(cz.Fraction(phasedb.MultiHigh)*100, "multihigh%")
@@ -364,10 +365,11 @@ func BenchmarkBaselineTraces(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				db, _, err := core.Profile(core.ScaledConfig(), img, nil)
+				pa, err := core.ProfileStage(core.ScaledConfig(), img, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
+				db := pa.DB()
 				if _, err := trace.Build(trace.DefaultConfig(), p, img, db); err != nil {
 					b.Fatal(err)
 				}

@@ -170,7 +170,7 @@ func main() {
 		defer store.Close()
 	}
 
-	out, err := cas.PipelineObserved(store, cfg, p, o)
+	out, err := cas.PipelineObserved(store, cfg, mc, p, o)
 	if err != nil {
 		if errors.Is(err, core.ErrNoPhases) || errors.Is(err, core.ErrNoPackages) {
 			logger.Warn("the run may be too short for the detector; raise -scale")

@@ -55,14 +55,7 @@ func captureSpots(t *testing.T, d *Daemon, name string) []hotSpotWire {
 	t.Helper()
 	st := d.programs[name]
 	var spots []hotSpotWire
-	det := hsd.New(d.cfg.Detector, func(h hsd.HotSpot) { spots = append(spots, fromHSD(h)) })
-	m := cpu.NewMachine(st.img)
-	err := m.Run(d.cfg.ProfileLimit, func(si *cpu.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.SetInstCount(m.InstCount)
-			det.Branch(si.PC, si.Taken)
-		}
-	})
+	_, _, err := core.DetectHotSpots(d.cfg, cpu.DefaultConfig(), st.img, func(h hsd.HotSpot) { spots = append(spots, fromHSD(h)) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,7 +253,7 @@ func captureSpots(p wireProgram) ([]wireHotSpot, error) {
 
 	cfg := core.ScaledConfig()
 	var spots []wireHotSpot
-	det := hsd.New(cfg.Detector, func(h hsd.HotSpot) {
+	_, _, err = core.DetectHotSpots(cfg, cpu.DefaultConfig(), img, func(h hsd.HotSpot) {
 		w := wireHotSpot{
 			Seq:      h.Seq,
 			AtBranch: h.DetectedAtBranch,
@@ -265,15 +265,8 @@ func captureSpots(p wireProgram) ([]wireHotSpot, error) {
 		}
 		spots = append(spots, w)
 	})
-	m := cpu.NewMachine(img)
-	err = m.Run(cfg.ProfileLimit, func(si *cpu.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.SetInstCount(m.InstCount)
-			det.Branch(si.PC, si.Taken)
-		}
-	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: profile: %w", p.Program, err)
+		return nil, fmt.Errorf("%s: %w", p.Program, err)
 	}
 	if len(spots) == 0 {
 		return nil, fmt.Errorf("%s: no hot spots detected; raise the daemon's -scale", p.Program)

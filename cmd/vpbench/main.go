@@ -12,7 +12,6 @@
 //	vpbench -reps 3         # run the suite 3 times, report the best rep
 //	vpbench -blockcache off # legacy instruction-at-a-time timed simulation
 //	vpbench -superblock off # tier-0 only: block cache without trace chaining
-//	vpbench -sbthreshold 64 # override the tier-1 promotion threshold
 //	vpbench -benchjson f    # write machine-readable timing JSON to f
 //	vpbench -cpuprofile f   # write a pprof CPU profile of the run to f
 //	vpbench -metrics        # per-stage wall-time, counter and histogram tables

@@ -30,16 +30,8 @@ func driftReport(w io.Writer, cfg core.Config, p *prog.Program, name string, dcf
 	}
 
 	var spots []hsd.HotSpot
-	det := hsd.New(cfg.Detector, func(h hsd.HotSpot) { spots = append(spots, h) })
-	m := cpu.NewMachine(img)
-	err = m.Run(cfg.ProfileLimit, func(si *cpu.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.SetInstCount(m.InstCount)
-			det.Branch(si.PC, si.Taken)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("profile: %w", err)
+	if _, _, err := core.DetectHotSpots(cfg, cpu.DefaultConfig(), img, func(h hsd.HotSpot) { spots = append(spots, h) }); err != nil {
+		return err
 	}
 	if len(spots) < 2 {
 		return fmt.Errorf("%s: %d hot spots detected; need at least 2 to split baseline/replay", name, len(spots))

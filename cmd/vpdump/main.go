@@ -169,7 +169,7 @@ func main() {
 	}
 	if *pkgIdx >= 0 {
 		rec := obs.NewRecorder()
-		out, err := cas.PipelineObserved(store, cfg, p, rec)
+		out, err := cas.PipelineObserved(store, cfg, cpu.DefaultConfig(), p, rec)
 		if out != nil {
 			logProfileStats(core.ProfileStats{
 				Insts: out.ProfileInsts, Branches: out.ProfileBranches, Detections: out.Detections,
@@ -203,13 +203,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		db, st, err := core.Profile(cfg, img, nil)
-		if db != nil {
-			logProfileStats(st, len(db.Phases))
-		}
+		pa, err := core.ProfileStage(cfg, img, nil)
 		if err != nil {
 			fatal(err)
 		}
+		db := pa.DB()
+		logProfileStats(pa.Stats, len(db.Phases))
 		if *phase >= len(db.Phases) {
 			fatal(fmt.Errorf("only %d phases detected", len(db.Phases)))
 		}

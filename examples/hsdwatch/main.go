@@ -25,8 +25,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// One timed run feeds the detector every retired conditional branch;
+	// each hot spot it reports is filtered into the phase database live.
 	db := vp.NewPhaseDB()
-	detector := vp.NewDetector(vp.ScaledConfig().Detector, func(h vp.HotSpot) {
+	st, _, err := vp.DetectHotSpots(vp.ScaledConfig(), vp.DefaultMachine(), img, func(h vp.HotSpot) {
 		ph := db.Record(h)
 		status := "NEW PHASE"
 		if ph.Detections > 1 {
@@ -35,22 +37,13 @@ func main() {
 		fmt.Printf("detection #%-3d at branch %-8d: %2d hot branches -> %s\n",
 			h.Seq, h.DetectedAtBranch, len(h.Branches), status)
 	})
-
-	machine := vp.NewMachine(img)
-	err = machine.Run(0, func(si *vp.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			detector.SetInstCount(machine.InstCount)
-			detector.Branch(si.PC, si.Taken)
-		}
-	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\n%s\n", db)
-	fmt.Printf("detector internals: %d refreshes, %d clears, %d contention drops, %d counter saturations\n",
-		detector.Stats.Refreshes, detector.Stats.Clears,
-		detector.Stats.ContentionDrop, detector.Stats.Saturations)
+	fmt.Printf("detector saw %d conditional branches over %d instructions: %d detections, %d redundant\n",
+		st.Branches, st.Insts, st.Detections, db.Redundant)
 
 	for _, ph := range db.Phases {
 		fmt.Printf("\nphase %d (%d detections, live %d..%d):\n",

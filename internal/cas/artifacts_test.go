@@ -193,7 +193,7 @@ func TestPipelineObserved(t *testing.T) {
 
 	s := open(t, t.TempDir())
 	recCold := obs.NewRecorder()
-	outCold, err := PipelineObserved(s, cfg, b.Build(in), recCold)
+	outCold, err := PipelineObserved(s, cfg, cpu.DefaultConfig(), b.Build(in), recCold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPipelineObserved(t *testing.T) {
 	}
 
 	recWarm := obs.NewRecorder()
-	outWarm, err := PipelineObserved(s, cfg, b.Build(in), recWarm)
+	outWarm, err := PipelineObserved(s, cfg, cpu.DefaultConfig(), b.Build(in), recWarm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // PipelineObserved: the store-aware single-program pipeline entry the
 // CLIs (vpack, vpdump) share. It mirrors core.RunObserved exactly —
 // same spans, same counters, same Outcome — except that the profile
-// stage is served from the store when a matching artifact exists and
-// written through when it does not.
+// stage runs on the caller's timed engine, and with a store it is served
+// from the store when a matching artifact exists and written through
+// when it does not.
 //
 // Deliberately, no store.* metrics are emitted here: the single-program
 // trace is the golden-trace regression surface, and a cold run with a
@@ -18,19 +19,18 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/prog"
 )
 
-// PipelineObserved runs the full pipeline on p, reusing a stored profile
-// for (ImageHash(p), cfg.ProfileKey()) when s is non-nil and has one,
-// and storing the freshly computed profile otherwise. Store read
-// problems (missing, corrupt) degrade to a cold run; store write
-// problems are returned, since the caller asked for persistence.
-func PipelineObserved(s *Store, cfg core.Config, p *prog.Program, o obs.Observer) (*core.Outcome, error) {
-	if s == nil {
-		return core.RunObserved(cfg, p, o)
-	}
+// PipelineObserved runs the full pipeline on p, profiling on the timed
+// engine mc selects. With a non-nil s it reuses a stored profile for
+// (ImageHash(p), cfg.ProfileKey()) when there is one, and stores the
+// freshly computed profile otherwise. Store read problems (missing,
+// corrupt) degrade to a cold run; store write problems are returned,
+// since the caller asked for persistence.
+func PipelineObserved(s *Store, cfg core.Config, mc cpu.Config, p *prog.Program, o obs.Observer) (*core.Outcome, error) {
 	sp := o.StartSpan(obs.StagePipeline)
 	defer sp.End()
 	out := &core.Outcome{Original: p.Clone(), Packed: p}
@@ -39,16 +39,19 @@ func PipelineObserved(s *Store, cfg core.Config, p *prog.Program, o obs.Observer
 	if err != nil {
 		return nil, fmt.Errorf("core: linearize: %w", err)
 	}
-	imageHash := core.ImageHash(img)
-	profileKey := cfg.ProfileKey()
-	pa, err := s.GetProfileArtifact(imageHash, profileKey)
-	if err != nil {
-		pa, err = core.ProfileStageObserved(cfg, img, nil, o)
+	var pa *core.ProfileArtifact
+	if s != nil {
+		pa, _ = s.GetProfileArtifact(core.ImageHash(img), cfg.ProfileKey())
+	}
+	if pa == nil {
+		pa, err = core.ProfileStageObserved(cfg, mc, img, nil, o)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.PutProfileArtifact(imageHash, profileKey, pa); err != nil {
-			return nil, fmt.Errorf("cas: store profile: %w", err)
+		if s != nil {
+			if err := s.PutProfileArtifact(pa.ProgramHash, pa.ProfileKey, pa); err != nil {
+				return nil, fmt.Errorf("cas: store profile: %w", err)
+			}
 		}
 	}
 	out.DB = pa.DB()

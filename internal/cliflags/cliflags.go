@@ -1,6 +1,6 @@
 // Package cliflags centralizes the flag declarations shared by the
 // command-line tools (vpack, vpbench, vpdump, vpackd): the execution
-// engine knobs (-blockcache, -superblock, -sbthreshold), the structured
+// engine knobs (-blockcache, -superblock), the structured
 // logging pair (-log, -q) and the static verifier gate (-verify). Each
 // tool registers the shared groups into its own FlagSet so names,
 // defaults and semantics stay identical across the toolbox.
@@ -15,20 +15,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Machine carries the engine flags: the basic-block simulation cache,
-// the superblock tier and its promotion threshold.
+// Machine carries the engine flags: the basic-block simulation cache and
+// the superblock tier.
 type Machine struct {
-	blockCache  string
-	superblock  string
-	sbThreshold int
+	blockCache string
+	superblock string
 }
 
-// MachineFlags registers -blockcache, -superblock and -sbthreshold on fs.
+// MachineFlags registers -blockcache and -superblock on fs.
 func MachineFlags(fs *flag.FlagSet) *Machine {
 	m := &Machine{}
 	fs.StringVar(&m.blockCache, "blockcache", "on", "basic-block simulation cache for timed runs: on|off")
 	fs.StringVar(&m.superblock, "superblock", "on", "superblock (tier-1) trace chaining in the block cache: on|off")
-	fs.IntVar(&m.sbThreshold, "sbthreshold", 0, "block executions before superblock promotion (0 = default)")
 	return m
 }
 
@@ -49,9 +47,6 @@ func (m *Machine) Apply(mc *cpu.Config) error {
 		mc.DisableSuperblocks = true
 	default:
 		return fmt.Errorf("-superblock must be on or off")
-	}
-	if m.sbThreshold > 0 {
-		mc.SuperblockThreshold = m.sbThreshold
 	}
 	return nil
 }

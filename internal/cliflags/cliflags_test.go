@@ -25,18 +25,15 @@ func TestMachineDefaults(t *testing.T) {
 	if err := m.Apply(&mc); err != nil {
 		t.Fatal(err)
 	}
-	if mc.DisableBlockCache || mc.DisableSuperblocks {
-		t.Errorf("defaults disabled the engine tiers: %+v", mc)
-	}
-	if mc.SuperblockThreshold != cpu.DefaultConfig().SuperblockThreshold {
-		t.Errorf("default -sbthreshold changed the threshold to %d", mc.SuperblockThreshold)
+	if mc != cpu.DefaultConfig() {
+		t.Errorf("defaults changed the machine config: %+v", mc)
 	}
 }
 
 func TestMachineOff(t *testing.T) {
 	fs := newFS()
 	m := MachineFlags(fs)
-	if err := fs.Parse([]string{"-blockcache=off", "-superblock=off", "-sbthreshold=7"}); err != nil {
+	if err := fs.Parse([]string{"-blockcache=off", "-superblock=off"}); err != nil {
 		t.Fatal(err)
 	}
 	mc := cpu.DefaultConfig()
@@ -45,9 +42,6 @@ func TestMachineOff(t *testing.T) {
 	}
 	if !mc.DisableBlockCache || !mc.DisableSuperblocks {
 		t.Errorf("off values not applied: %+v", mc)
-	}
-	if mc.SuperblockThreshold != 7 {
-		t.Errorf("SuperblockThreshold = %d, want 7", mc.SuperblockThreshold)
 	}
 }
 

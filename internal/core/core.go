@@ -270,51 +270,17 @@ type ProfileStats struct {
 	DataStores uint64 `json:"data_stores,string"`
 }
 
-// Profile runs the program to completion under the Hot Spot Detector
-// (§3.1) and returns the filtered phase database. obs, when non-nil,
-// receives every retired instruction — the benchmark harness uses it to
-// collect baseline timing in the same pass.
-func Profile(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo)) (*phasedb.DB, ProfileStats, error) {
-	return ProfileObserved(cfg, img, obsFn, obs.Nop{})
-}
-
-// ProfileObserved is Profile reporting to an observer: the run executes
-// inside a "profile" span, every unique phase emits a PhaseDetected event
-// and every software-filtered (redundant) detection a PhaseFiltered
-// event, and the profile.* counters summarize the run.
-func ProfileObserved(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo), o obs.Observer) (*phasedb.DB, ProfileStats, error) {
-	sp := o.StartSpan(obs.StageProfile)
-	defer sp.End()
-	db := phasedb.New(cfg.Filter)
-	record := func(h hsd.HotSpot) { db.Record(h) }
-	if o.Enabled() {
-		record = func(h hsd.HotSpot) {
-			before := len(db.Phases)
-			ph := db.Record(h)
-			kind := obs.PhaseDetected
-			if len(db.Phases) == before {
-				kind = obs.PhaseFiltered
-			}
-			o.Emit(obs.Event{Kind: kind, Phase: ph.ID, N: 1})
-		}
-	}
-	if cfg.HistoryDepth > 0 {
-		sim := cfg.HistorySimilarity
-		if sim == 0 {
-			sim = 0.8
-		}
-		record = hsd.NewHistoryFilter(cfg.HistoryDepth, sim).WrapDetector(record)
-	}
-	det := hsd.New(cfg.Detector, record)
-	m := cpu.NewMachine(img)
-	err := m.Run(cfg.ProfileLimit, func(si *cpu.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.SetInstCount(m.InstCount)
-			det.Branch(si.PC, si.Taken)
-		}
-		if obsFn != nil {
-			obsFn(si)
-		}
+// DetectHotSpots runs img to completion on the timed engine mc selects,
+// with cfg.Detector watching every retired conditional branch (§3.1), and
+// calls emit for each raw hot spot in detection order. The single pass
+// yields both the profile statistics and the run's TimingStats — the
+// unpacked program's baseline timing. cfg.ProfileLimit, when set, bounds
+// the run.
+func DetectHotSpots(cfg Config, mc cpu.Config, img *prog.Image, emit func(hsd.HotSpot)) (ProfileStats, cpu.TimingStats, error) {
+	det := hsd.New(cfg.Detector, emit)
+	base, m, err := cpu.RunTimedSink(mc, img, cfg.ProfileLimit, nil, func(pc int64, taken bool, insts uint64) {
+		det.SetInstCount(insts)
+		det.Branch(pc, taken)
 	})
 	st := ProfileStats{
 		Insts:      m.InstCount,
@@ -322,15 +288,10 @@ func ProfileObserved(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo), o o
 		Detections: det.Stats.Detections,
 	}
 	st.DataHash, st.DataStores = m.DataHash()
-	o.Count("profile.insts", int64(st.Insts))
-	o.Count("profile.branches", int64(st.Branches))
-	o.Count("profile.detections", int64(st.Detections))
-	o.Count("profile.phases", int64(len(db.Phases)))
-	o.Count("profile.redundant", int64(db.Redundant))
 	if err != nil {
-		return nil, st, fmt.Errorf("core: profiling run: %w", err)
+		return st, base, fmt.Errorf("core: profiling run: %w", err)
 	}
-	return db, st, nil
+	return st, base, nil
 }
 
 // Run executes the full pipeline on p. p is mutated into the packed
@@ -357,7 +318,7 @@ func RunObserved(cfg Config, p *prog.Program, o obs.Observer) (*Outcome, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: linearize: %w", err)
 	}
-	pa, err := ProfileStageObserved(cfg, img, nil, o)
+	pa, err := ProfileStageObserved(cfg, cpu.DefaultConfig(), img, nil, o)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +393,9 @@ type Evaluation struct {
 	// Speedup is base cycles / packed cycles (Figure 10's metric).
 	Speedup float64
 	// Equivalent reports whether both runs produced identical
-	// data-segment effects.
+	// data-segment effects (cpu.Machine.SameEffects): the same stores in
+	// the same order, or the same number of stores leaving the same final
+	// data segment.
 	Equivalent bool
 }
 
@@ -467,13 +430,11 @@ func (o *Outcome) EvaluateObserved(mc cpu.Config, limit uint64, ob obs.Observer)
 	if err != nil {
 		return nil, fmt.Errorf("core: packed run: %w", err)
 	}
-	bh, bn := baseM.DataHash()
-	ph, pn := packedM.DataHash()
 	ev := &Evaluation{
 		Base:       baseStats,
 		Packed:     packedStats,
 		Coverage:   packedStats.PackageCoverage(),
-		Equivalent: bh == ph && bn == pn,
+		Equivalent: baseM.SameEffects(packedM),
 	}
 	if packedStats.Cycles > 0 {
 		ev.Speedup = float64(baseStats.Cycles) / float64(packedStats.Cycles)

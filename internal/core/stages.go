@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/equiv"
+	"repro/internal/hsd"
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/pack"
@@ -30,21 +31,56 @@ import (
 	"repro/internal/verify"
 )
 
-// ProfileStage runs stage 1: the program executes to completion under the
-// Hot Spot Detector and the filtered phase database is wrapped into a
-// ProfileArtifact stamped with the image hash and profile key. obsFn,
-// when non-nil, receives every retired instruction (the suite collects
-// baseline timing in the same pass).
-func ProfileStage(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo)) (*ProfileArtifact, error) {
-	return ProfileStageObserved(cfg, img, obsFn, obs.Nop{})
+// ProfileStage runs stage 1 on the paper's Table 2 machine
+// (cpu.DefaultConfig): the program executes to completion under the Hot
+// Spot Detector and the filtered phase database is wrapped into a
+// ProfileArtifact stamped with the image hash and profile key. base, when
+// non-nil, receives the baseline timing of the same pass.
+func ProfileStage(cfg Config, img *prog.Image, base *cpu.TimingStats) (*ProfileArtifact, error) {
+	return ProfileStageObserved(cfg, cpu.DefaultConfig(), img, base, obs.Nop{})
 }
 
-// ProfileStageObserved is ProfileStage reporting to an observer; its
-// stream is exactly ProfileObserved's.
-func ProfileStageObserved(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo), o obs.Observer) (*ProfileArtifact, error) {
-	db, st, err := ProfileObserved(cfg, img, obsFn, o)
+// ProfileStageObserved is ProfileStage on the timed engine mc selects,
+// reporting to an observer: the run executes inside a "profile" span,
+// every unique phase emits a PhaseDetected event and every
+// software-filtered (redundant) detection a PhaseFiltered event, and the
+// profile.* counters summarize the run. It is DetectHotSpots feeding the
+// software filter (behind the §3.1 history filter when
+// cfg.HistoryDepth > 0).
+func ProfileStageObserved(cfg Config, mc cpu.Config, img *prog.Image, base *cpu.TimingStats, o obs.Observer) (*ProfileArtifact, error) {
+	sp := o.StartSpan(obs.StageProfile)
+	db := phasedb.New(cfg.Filter)
+	record := func(h hsd.HotSpot) { db.Record(h) }
+	if o.Enabled() {
+		record = func(h hsd.HotSpot) {
+			before := len(db.Phases)
+			ph := db.Record(h)
+			kind := obs.PhaseDetected
+			if len(db.Phases) == before {
+				kind = obs.PhaseFiltered
+			}
+			o.Emit(obs.Event{Kind: kind, Phase: ph.ID, N: 1})
+		}
+	}
+	if cfg.HistoryDepth > 0 {
+		sim := cfg.HistorySimilarity
+		if sim == 0 {
+			sim = 0.8
+		}
+		record = hsd.NewHistoryFilter(cfg.HistoryDepth, sim).WrapDetector(record)
+	}
+	st, ts, err := DetectHotSpots(cfg, mc, img, record)
+	o.Count("profile.insts", int64(st.Insts))
+	o.Count("profile.branches", int64(st.Branches))
+	o.Count("profile.detections", int64(st.Detections))
+	o.Count("profile.phases", int64(len(db.Phases)))
+	o.Count("profile.redundant", int64(db.Redundant))
+	sp.End()
 	if err != nil {
 		return nil, err
+	}
+	if base != nil {
+		*base = ts
 	}
 	return newProfileArtifact(cfg, img, db, st), nil
 }

@@ -65,7 +65,7 @@ func TestStagedResumability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pa, err := ProfileStageObserved(cfg, img, nil, recB)
+			pa, err := ProfileStageObserved(cfg, cpu.DefaultConfig(), img, nil, recB)
 			if err != nil {
 				t.Fatalf("profile stage: %v", err)
 			}

@@ -141,7 +141,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 }
 
 // BenchmarkTimingObserve isolates the cycle-accounting model by replaying
-// a canned retirement stream through Observe.
+// a canned retirement stream through observe.
 func BenchmarkTimingObserve(b *testing.B) {
 	img := benchImage(b)
 	// Record a window of the real retirement stream once.
@@ -155,8 +155,8 @@ func BenchmarkTimingObserve(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	t := NewTiming(DefaultConfig(), img)
+	t := newTiming(DefaultConfig(), img)
 	for i := 0; i < b.N; i++ {
-		t.Observe(&stream[i%len(stream)])
+		t.observe(&stream[i%len(stream)])
 	}
 }

@@ -2,7 +2,7 @@ package cpu
 
 // Block-structured timed simulation. The legacy RunTimed loop interprets
 // one instruction at a time: Machine.exec fills a StepInfo record, then
-// Timing.Observe re-derives per-opcode metadata, re-computes the I-line,
+// timing.observe re-derives per-opcode metadata, re-computes the I-line,
 // and re-checks package membership for every retired instruction. Execution
 // is dominated by small repeating kernels, so almost all of that work is
 // identical every time a basic block re-executes.
@@ -11,7 +11,7 @@ package cpu
 // into a flat record: the instruction run (aliasing the image, never
 // copied), per-slot resource class/latency/operand flags, I-line boundary
 // marks, and the static intra-block summary the issue logic needs (which
-// operands are live, which slots define a register). Timing.execBlock then
+// operands are live, which slots define a register). timing.execBlock then
 // dispatches whole blocks through a single fused functional+timing loop
 // that touches the predictor only at block boundaries and the data caches
 // only at loads/stores, with DBT-style block chaining for fall-through and
@@ -223,7 +223,7 @@ func (c *BlockCache) decode(entry int64) *block {
 // superblock.go) and thereafter run through the specialized trace
 // executor, which returns control here at the trace's exit block. Both
 // tiers classify dispatches identically into BlockCacheStats.
-func (t *Timing) runBlocks(m *Machine, bc *BlockCache) error {
+func (t *timing) runBlocks(m *Machine, bc *BlockCache) error {
 	n := int64(len(m.Img.Code))
 	pc := m.PC
 	if uint64(pc) >= uint64(n) {
@@ -298,7 +298,7 @@ func (t *Timing) runBlocks(m *Machine, bc *BlockCache) error {
 // leave behind after a fault at slot j — retired counts for the j slots
 // that completed, PC parked on the faulting instruction — so diagnostics
 // and partial machine state agree between the two paths.
-func (t *Timing) blockFault(m *Machine, b *block, j int, err error) error {
+func (t *timing) blockFault(m *Machine, b *block, j int, err error) error {
 	t.Stats.Insts += uint64(j)
 	m.InstCount += uint64(j)
 	m.PC = b.entry + int64(j)
@@ -307,10 +307,10 @@ func (t *Timing) blockFault(m *Machine, b *block, j int, err error) error {
 
 // execBlock retires every instruction of b — functional execution and
 // cycle accounting fused in one pass — and returns the next PC. It is the
-// batched equivalent of Machine.exec + Timing.Observe per slot; any
+// batched equivalent of Machine.exec + timing.observe per slot; any
 // semantic change here must be mirrored there (and vice versa), which
 // TestBlockCacheEquivalence enforces over the whole workload suite.
-func (t *Timing) execBlock(m *Machine, b *block) (int64, error) {
+func (t *timing) execBlock(m *Machine, b *block) (int64, error) {
 	insts := b.insts
 	slots := b.slots
 	entry := b.entry
@@ -569,45 +569,7 @@ func (t *Timing) execBlock(m *Machine, b *block) (int64, error) {
 			}
 		}
 
-		if op != isa.HALT {
-			redirect := false
-			switch {
-			case condBranch:
-				t.Stats.CondBranches++
-				if !t.pred.PredictCond(pc, taken) {
-					redirect = true
-				} else if taken && !t.pred.LookupBTB(pc, next) {
-					redirect = true
-				}
-			case op == isa.JMP:
-				if !t.pred.LookupBTB(pc, next) {
-					redirect = true
-				}
-			case op == isa.CALL:
-				t.pred.PushRAS(pc + 1)
-				if !t.pred.LookupBTB(pc, next) {
-					redirect = true
-				}
-			case op == isa.RET:
-				if !t.pred.PopRAS(next) {
-					redirect = true
-				}
-			case op == isa.JR:
-				if !t.pred.LookupBTB(pc, next) {
-					redirect = true
-				}
-			}
-			if redirect {
-				if c := issue + uint64(t.cfg.BranchResolution); t.fetchReady < c {
-					t.fetchReady = c
-				}
-			} else if taken {
-				t.Stats.FetchBreaks++
-				if t.fetchReady < issue+1 {
-					t.fetchReady = issue + 1
-				}
-			}
-		}
+		t.resolve(op, pc, next, taken, issue, m.InstCount+uint64(n))
 	}
 
 	// Batched per-block accounting: the per-instruction counters are not

@@ -98,6 +98,19 @@ func (m *Machine) DataHash() (hash uint64, stores uint64) {
 	return m.dataHash, m.dataCount
 }
 
+// SameEffects reports whether two finished runs had the same
+// data-segment effects. Equal store hashes and counts decide it at once.
+// The hash is order-sensitive, so a scheduler that legally swaps two
+// independent stores changes it; in that case the runs still agree when
+// they made the same number of data-segment stores and left identical
+// final data-segment contents.
+func (m *Machine) SameEffects(o *Machine) bool {
+	if m.dataHash == o.dataHash && m.dataCount == o.dataCount {
+		return true
+	}
+	return m.dataCount == o.dataCount && m.Mem.sameData(o.Mem) && o.Mem.sameData(m.Mem)
+}
+
 func (m *Machine) geti(r isa.Reg) int64 {
 	if r == isa.R0 {
 		return 0

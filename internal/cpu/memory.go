@@ -194,6 +194,33 @@ func (m *Memory) Snapshot(start int64, words int) ([]int64, error) {
 	return out, nil
 }
 
+// sameData reports whether every data-segment word m holds — addresses
+// in [DataBase, ScratchBase), dense or paged — reads the same from o.
+// Unwritten words read as zero, so calling it both ways compares the two
+// segments exactly.
+func (m *Memory) sameData(o *Memory) bool {
+	same := func(addr, v int64) bool {
+		if addr < prog.DataBase || addr >= prog.ScratchBase {
+			return true
+		}
+		w, _ := o.Load(addr)
+		return w == v
+	}
+	for i, v := range m.data {
+		if !same(prog.DataBase+int64(i)*8, v) {
+			return false
+		}
+	}
+	for page, p := range m.pages {
+		for i, v := range p {
+			if !same((page<<pageShift+int64(i))<<3, v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // PagesTouched reports how many backing allocations have been materialized:
 // sparse pages plus the dense data and stack segments (one each when
 // present).

@@ -109,3 +109,48 @@ func TestMemoryFastPathRandomAccess(t *testing.T) {
 		}
 	}
 }
+
+// TestSameEffectsAcrossMemoryLayouts: SameEffects compares data segments
+// whether their words live in the dense window or in pages, and sees a
+// differing word on either side.
+func TestSameEffectsAcrossMemoryLayouts(t *testing.T) {
+	img := mustAssemble(t, `
+.data 1 2 3
+.func main
+.main
+  li r1, 1048576
+  li r2, 5
+  st r2, 8(r1)
+  halt
+`)
+	fast, paged := NewMachine(img), newPagedMachine(img)
+	if err := fast.Run(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := paged.Run(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !fast.SameEffects(paged) || !paged.SameEffects(fast) {
+		t.Fatal("identical runs on dense and paged memory differ")
+	}
+	// Same store count, different hash: the contents decide.
+	paged.dataHash++
+	if !fast.SameEffects(paged) {
+		t.Error("equal data segments with differing hashes reported different")
+	}
+	for _, m := range []*Machine{fast, paged} {
+		if err := m.Mem.Store(prog.DataBase+16, 4); err != nil {
+			t.Fatal(err)
+		}
+		other := paged
+		if m == paged {
+			other = fast
+		}
+		if m.SameEffects(other) || other.SameEffects(m) {
+			t.Error("a differing data word went unnoticed")
+		}
+		if err := m.Mem.Store(prog.DataBase+16, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

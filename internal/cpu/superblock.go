@@ -366,7 +366,7 @@ func specializeSlot(in *isa.Inst, si slotInfo, pc int64, isTerm bool) (sslot, bo
 // completed, and park PC on the faulting instruction. chained is the
 // dispatch's locally accumulated guard-pass count, flushed here so the
 // cache's cumulative stats stay exact across a faulting run.
-func (t *Timing) superFault(m *Machine, bc *BlockCache, sb *superblock, k int, chained uint64, err error) error {
+func (t *timing) superFault(m *Machine, bc *BlockCache, sb *superblock, k int, chained uint64, err error) error {
 	bc.Stats.Chained += chained
 	t.Stats.Insts += uint64(k)
 	t.Stats.PackageInsts += sb.faultPkg[k]
@@ -386,7 +386,7 @@ func (t *Timing) superFault(m *Machine, bc *BlockCache, sb *superblock, k int, c
 // stall counter and the Chained count — lives in locals for the whole
 // dispatch so the slot loop runs out of registers; every return path
 // writes it back through flush-style assignments first.
-func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *block, error) {
+func (t *timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *block, error) {
 	slots := sb.slots
 	sb.execs++
 
@@ -396,6 +396,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 	fetchReady := t.fetchReady
 	rawStalls := t.Stats.RAWStalls
 	var chained uint64
+	sink := t.sink
 
 	// Memory-op state, hoisted so the LD/ST slot bodies can run the dense
 	// windows, the store hash, and the D-cache latency walk inline. The
@@ -494,6 +495,11 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 			switch {
 			case condBranch:
 				t.Stats.CondBranches++
+				if sink != nil {
+					// Completed passes are already in InstCount (loop-backs
+					// account theirs); this pass has retired k+1 slots.
+					sink(s.pc, taken, m.InstCount+uint64(k+1))
+				}
 				if !t.pred.PredictCond(s.pc, taken) {
 					redirect = true
 				} else if taken && !t.pred.LookupBTB(s.pc, next) {

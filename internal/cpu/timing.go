@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -113,7 +111,7 @@ func (s TimingStats) PackageCoverage() float64 {
 	return float64(s.PackageInsts) / float64(s.Insts)
 }
 
-// Timing is the cycle-level model. It consumes the functional machine's
+// timing is the cycle-level model. It consumes the functional machine's
 // retirement stream in program order and accounts:
 //
 //   - in-order issue of at most IssueWidth instructions per cycle, limited
@@ -130,7 +128,7 @@ func (s TimingStats) PackageCoverage() float64 {
 // EPIC pipeline rather than a structural register-transfer simulation; it
 // rewards exactly the behaviors the paper's optimizations target: packed
 // issue slots, fall-through layout and phase-local instruction footprints.
-type Timing struct {
+type timing struct {
 	cfg  Config
 	pred *Predictor
 	l1i  *Cache
@@ -157,13 +155,23 @@ type Timing struct {
 
 	inPkg []bool
 
+	// sink, when non-nil, receives every retired conditional branch.
+	sink BranchSink
+
 	Stats TimingStats
 }
 
-// NewTiming builds a timing model for an image. Instructions belonging to
+// BranchSink receives each retired conditional branch of a timed run, in
+// retirement order: its PC, whether it was taken, and the number of
+// instructions retired so far, the branch included. That is exactly the
+// event stream the paper's Hot Spot Detector watches (§3.1), so a
+// profiling run is an ordinary timed run with a sink attached.
+type BranchSink func(pc int64, taken bool, insts uint64)
+
+// newTiming builds a timing model for an image. Instructions belonging to
 // package functions are identified up front for coverage accounting.
-func NewTiming(cfg Config, img *prog.Image) *Timing {
-	t := &Timing{
+func newTiming(cfg Config, img *prog.Image) *timing {
+	t := &timing{
 		cfg:      cfg,
 		pred:     NewPredictor(cfg.GshareBits, cfg.BTBEntries, cfg.RASEntries),
 		l1i:      NewCache("L1I", cfg.L1ISizeBytes, cfg.CacheWays),
@@ -223,13 +231,13 @@ func issueHigh(fu isa.FUClass) uint64 {
 }
 
 // nextCycle advances to a fresh issue cycle.
-func (t *Timing) nextCycle() {
+func (t *timing) nextCycle() {
 	t.cycle++
 	t.free = t.freeInit
 }
 
 // advanceTo jumps the issue clock to cycle c (> current).
-func (t *Timing) advanceTo(c uint64) {
+func (t *timing) advanceTo(c uint64) {
 	t.cycle = c
 	t.free = t.freeInit
 }
@@ -238,13 +246,13 @@ func (t *Timing) advanceTo(c uint64) {
 // line holding pc and delays fetchReady on a miss. The caller has decided
 // the crossing happened (statically via slotNewLine / superblock stitch
 // marks, or by comparing against lastLine at a block entry).
-func (t *Timing) lineFetch(pc int64) {
+func (t *timing) lineFetch(pc int64) {
 	t.fetchReady = t.lineFetchAt(pc, t.cycle, t.fetchReady)
 }
 
 // lineFetchAt is lineFetch for callers that keep cycle and fetchReady in
 // locals (the superblock executor); it returns the updated fetchReady.
-func (t *Timing) lineFetchAt(pc int64, cycle, fetchReady uint64) uint64 {
+func (t *timing) lineFetchAt(pc int64, cycle, fetchReady uint64) uint64 {
 	t.lastLine = pc >> 3
 	if !t.l1i.Access(pc * 8) {
 		extra := t.cfg.L2Latency
@@ -260,7 +268,7 @@ func (t *Timing) lineFetchAt(pc int64, cycle, fetchReady uint64) uint64 {
 
 // dLatency models a data access through the cache hierarchy and returns
 // the total load-use latency.
-func (t *Timing) dLatency(addr int64) int {
+func (t *timing) dLatency(addr int64) int {
 	lat := isa.LD.Latency()
 	if t.l1d.Access(addr) {
 		return lat
@@ -272,38 +280,17 @@ func (t *Timing) dLatency(addr int64) int {
 	return lat + t.cfg.MemLatency
 }
 
-// iFetch charges I-cache time when the fetch stream crosses into a new
-// line and returns extra cycles to delay fetch.
-func (t *Timing) iFetch(pc int64) int {
-	line := (pc * 8) >> 6
-	if line == t.lastLine {
-		return 0
-	}
-	t.lastLine = line
-	if t.l1i.Access(pc * 8) {
-		return 0
-	}
-	extra := t.cfg.L2Latency
-	if !t.l2.Access(pc * 8) {
-		extra += t.cfg.MemLatency
-	}
-	return extra
-}
-
-// Observe accounts one retired instruction. Call it in retirement order.
+// observe accounts one retired instruction. Call it in retirement order.
 // Per-opcode properties come from the flat isa.Meta table — one load per
 // instruction instead of a method call per property.
-func (t *Timing) Observe(info *StepInfo) {
+func (t *timing) observe(info *StepInfo) {
 	in := info.Inst
 	op := in.Op
 	meta := &isa.Meta[op]
 
 	// Fetch: line-crossing I-cache charge.
-	if extra := t.iFetch(info.PC); extra > 0 {
-		c := t.cycle + uint64(extra)
-		if t.fetchReady < c {
-			t.fetchReady = c
-		}
+	if info.PC>>3 != t.lastLine {
+		t.lineFetch(info.PC)
 	}
 
 	// Earliest issue cycle: fetch availability and operand readiness.
@@ -359,52 +346,8 @@ func (t *Timing) Observe(info *StepInfo) {
 		}
 	}
 
-	// Control flow and prediction.
-	if meta.IsControl && op != isa.HALT {
-		redirect := false
-		switch {
-		case meta.IsCondBranch:
-			t.Stats.CondBranches++
-			if !t.pred.PredictCond(info.PC, info.Taken) {
-				redirect = true
-			} else if info.Taken && !t.pred.LookupBTB(info.PC, info.NextPC) {
-				redirect = true
-			}
-		case op == isa.JMP:
-			if !t.pred.LookupBTB(info.PC, info.NextPC) {
-				redirect = true
-			}
-		case op == isa.CALL:
-			t.pred.PushRAS(info.PC + 1)
-			if !t.pred.LookupBTB(info.PC, info.NextPC) {
-				redirect = true
-			}
-		case op == isa.RET:
-			if !t.pred.PopRAS(info.NextPC) {
-				redirect = true
-			}
-		case op == isa.JR:
-			// Indirect jumps predict through the BTB: the paper's dynamic
-			// launch-point alternative pays a redirect when the target
-			// changes (i.e. at phase transitions).
-			if !t.pred.LookupBTB(info.PC, info.NextPC) {
-				redirect = true
-			}
-		}
-		if redirect {
-			// Fetch restarts after the branch resolves.
-			c := issueCycle + uint64(t.cfg.BranchResolution)
-			if t.fetchReady < c {
-				t.fetchReady = c
-			}
-		} else if info.Taken {
-			// Correctly predicted taken transfer still ends the fetch
-			// packet: following instructions issue next cycle at best.
-			t.Stats.FetchBreaks++
-			if t.fetchReady < issueCycle+1 {
-				t.fetchReady = issueCycle + 1
-			}
-		}
+	if meta.IsControl {
+		t.resolve(op, info.PC, info.NextPC, info.Taken, issueCycle, t.Stats.Insts+1)
 	}
 
 	t.Stats.Insts++
@@ -413,8 +356,52 @@ func (t *Timing) Observe(info *StepInfo) {
 	}
 }
 
-// Finish freezes and returns the statistics.
-func (t *Timing) Finish() TimingStats {
+// resolve accounts one retired control transfer that issued in cycle
+// issue: prediction (gshare for conditional branches, the BTB for taken
+// direct and indirect transfers, the RAS for returns) and then either a
+// fetch redirect BranchResolution cycles later on a misprediction or a
+// fetch-packet break on a correctly predicted taken transfer. next is the
+// actual next PC; insts is the retired count including this transfer,
+// handed to the branch sink for conditional branches.
+func (t *timing) resolve(op isa.Opcode, pc, next int64, taken bool, issue, insts uint64) {
+	redirect := false
+	switch op {
+	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
+		t.Stats.CondBranches++
+		if t.sink != nil {
+			t.sink(pc, taken, insts)
+		}
+		redirect = !t.pred.PredictCond(pc, taken) || taken && !t.pred.LookupBTB(pc, next)
+	case isa.CALL:
+		t.pred.PushRAS(pc + 1)
+		redirect = !t.pred.LookupBTB(pc, next)
+	case isa.RET:
+		redirect = !t.pred.PopRAS(next)
+	case isa.JMP, isa.JR:
+		// Indirect jumps predict through the BTB too: the paper's
+		// dynamic launch-point alternative pays a redirect when the
+		// target changes (i.e. at phase transitions).
+		redirect = !t.pred.LookupBTB(pc, next)
+	default: // HALT
+		return
+	}
+	if redirect {
+		// Fetch restarts after the branch resolves.
+		if c := issue + uint64(t.cfg.BranchResolution); t.fetchReady < c {
+			t.fetchReady = c
+		}
+	} else if taken {
+		// A correctly predicted taken transfer still ends the fetch
+		// packet: following instructions issue next cycle at best.
+		t.Stats.FetchBreaks++
+		if t.fetchReady < issue+1 {
+			t.fetchReady = issue + 1
+		}
+	}
+}
+
+// finish freezes and returns the statistics.
+func (t *timing) finish() TimingStats {
 	s := t.Stats
 	s.Cycles = t.cycle + 1
 	s.CondMispredict = t.pred.CondMispredict
@@ -440,19 +427,31 @@ func RunTimed(cfg Config, img *prog.Image, limit uint64) (TimingStats, *Machine,
 // blocks if it was bound to a different image — the invalidation-on-
 // install rule) and keeps its entries otherwise, making repeated timed
 // runs of one image skip decode entirely.
-//
-// The legacy instruction-at-a-time loop is used when the config disables
-// the cache or when limit > 0 (the limit must be checked per instruction,
-// not per block; limits are only used for runaway-guard runs, never on the
-// measured suite path).
 func RunTimedCached(cfg Config, img *prog.Image, limit uint64, bc *BlockCache) (TimingStats, *Machine, error) {
+	return RunTimedSink(cfg, img, limit, bc, nil)
+}
+
+// RunTimedSink is RunTimedCached feeding every retired conditional branch
+// to sink (nil for none). All three execution paths — tier-0 blocks,
+// tier-1 superblock guards and exits, and the instruction-at-a-time
+// oracle — deliver the identical branch stream.
+//
+// The oracle loop is used when the config disables the cache or when
+// limit > 0 (the limit must be checked per instruction, not per block;
+// limits are only used for runaway-guard runs, never on the measured
+// suite path).
+func RunTimedSink(cfg Config, img *prog.Image, limit uint64, bc *BlockCache, sink BranchSink) (TimingStats, *Machine, error) {
 	m := NewMachine(img)
-	t := NewTiming(cfg, img)
+	t := newTiming(cfg, img)
+	t.sink = sink
 	if cfg.DisableBlockCache || limit > 0 {
-		if err := t.runLegacy(m, limit); err != nil {
+		// The reference oracle: the functional machine retiring one
+		// instruction at a time into the per-instruction timing model,
+		// observe's only caller.
+		if err := m.Run(limit, t.observe); err != nil {
 			return TimingStats{}, m, err
 		}
-		return t.Finish(), m, nil
+		return t.finish(), m, nil
 	}
 	if bc == nil {
 		bc = NewBlockCache(img)
@@ -462,28 +461,5 @@ func RunTimedCached(cfg Config, img *prog.Image, limit uint64, bc *BlockCache) (
 	if err := t.runBlocks(m, bc); err != nil {
 		return TimingStats{}, m, err
 	}
-	return t.Finish(), m, nil
-}
-
-// runLegacy is the instruction-at-a-time retire/observe loop. The loop is
-// fused so Observe is a direct method call on the concrete Timing instead
-// of an indirect call through a func value for every retired instruction.
-func (t *Timing) runLegacy(m *Machine, limit uint64) error {
-	var info StepInfo
-	code := m.Img.Code
-	n := int64(len(code))
-	for !m.Halted {
-		if limit > 0 && m.InstCount >= limit {
-			return fmt.Errorf("cpu: instruction limit %d reached at pc %d", limit, m.PC)
-		}
-		pc := m.PC
-		if uint64(pc) >= uint64(n) {
-			return fmt.Errorf("cpu: PC %d outside code image (len %d)", pc, n)
-		}
-		if err := m.exec(code[pc], &info); err != nil {
-			return err
-		}
-		t.Observe(&info)
-	}
-	return nil
+	return t.finish(), m, nil
 }

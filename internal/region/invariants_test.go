@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// profileDB profiles an image under the scaled detector, like core.Profile
+// profileDB profiles an image under the scaled detector, like core.ProfileStage
 // (which tests here cannot import without a cycle).
 func profileDB(t *testing.T, img *prog.Image) *phasedb.DB {
 	t.Helper()

@@ -220,12 +220,8 @@ func (pm *profileMemo) profile(cfg core.Config, mc cpu.Config, img *prog.Image, 
 		o.Count("profile_memo.misses", 1)
 	}
 	e.once.Do(func() {
-		// One pass: HSD profile + baseline timing.
-		timing := cpu.NewTiming(mc, img)
-		e.pa, e.err = core.ProfileStageObserved(cfg, img, timing.Observe, o)
-		if e.err == nil {
-			e.base = timing.Finish()
-		}
+		// One timed pass on mc's engine: HSD profile + baseline timing.
+		e.pa, e.err = core.ProfileStageObserved(cfg, mc, img, &e.base, o)
 	})
 	return e.pa, e.base, e.err
 }

@@ -26,10 +26,11 @@ func tracePipeline(t *testing.T, bench string) (*Result, *cpu.TimingStats, *cpu.
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, _, err := core.Profile(core.ScaledConfig(), img, nil)
+	pa, err := core.ProfileStage(core.ScaledConfig(), img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := pa.DB()
 	res, err := Build(DefaultConfig(), p, img, db)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +127,11 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty phase DB: nothing to trace.
-	db, _, err := core.Profile(core.ScaledConfig(), img, nil)
+	pa, err := core.ProfileStage(core.ScaledConfig(), img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := pa.DB()
 	db.Phases = nil
 	if _, err := Build(DefaultConfig(), p, img, db); err == nil {
 		t.Error("empty profile should fail")
@@ -169,10 +171,11 @@ rare:
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, _, err := core.Profile(core.ScaledConfig(), img, nil)
+	pa, err := core.ProfileStage(core.ScaledConfig(), img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := pa.DB()
 	res, err := Build(DefaultConfig(), p, img, db)
 	if err != nil {
 		t.Fatal(err)

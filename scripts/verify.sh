@@ -61,8 +61,11 @@ go run ./cmd/vpverify -q -equiv -bench m88ksim -input A -scale 1
 # phases detected, regions grown, packages built/linked, simulated
 # cycles. A counter regressing >10% fails verification. The gate runs
 # three times — superblocks on (the default), superblocks off (tier 0
-# only), and block cache off entirely (the legacy path) — because all
+# only), and block cache off entirely (the oracle loop) — because all
 # three timed paths must be bit-identical: one golden serves them all.
+# Profiling runs on the selected engine too (the Hot Spot Detector is fed
+# by the engine's conditional-branch retire sink), so each pass also
+# proves that engine detects exactly the golden's phases.
 trace_tmp="$(mktemp)"
 trap 'rm -f "$trace_tmp"' EXIT
 go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -trace "$trace_tmp" >/dev/null
@@ -78,6 +81,12 @@ store_tmp="$(mktemp -d)"
 trap 'rm -f "$trace_tmp"; rm -rf "$store_tmp"' EXIT
 go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -store "$store_tmp/st" -trace "$trace_tmp" >/dev/null
 go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp"
+
+# Hot-spot capture smokes: the annotated detector walkthrough and the
+# offline drift report both capture through core.DetectHotSpots, the
+# path vpbench's load generator and the profile stage share.
+go run ./examples/hsdwatch >/dev/null
+go run ./cmd/vpdump -bench m88ksim -drift -driftshift >/dev/null
 
 # Store cold→warm→restart smoke. Cold suite populates a fresh store;
 # the warm rerun must serve every profile and package from it (vpbench

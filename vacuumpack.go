@@ -68,6 +68,8 @@ type (
 	Outcome = core.Outcome
 	// Evaluation is the timed original-vs-packed comparison.
 	Evaluation = core.Evaluation
+	// ProfileStats summarizes one profiling run.
+	ProfileStats = core.ProfileStats
 )
 
 // DefaultConfig returns the paper's configuration (Table 2 detector).
@@ -111,7 +113,8 @@ var (
 // vpackd continuous-optimization daemon:
 //
 //	img, _ := program.Linearize()
-//	pa, err := vacuumpack.ProfileStage(cfg, img, nil)
+//	var base vacuumpack.TimingStats // optional: the same pass's baseline
+//	pa, err := vacuumpack.ProfileStage(cfg, img, &base)
 //	ra, err := vacuumpack.RegionStage(cfg, img, pa)
 //	set, err := vacuumpack.PackageStage(cfg, program, img, ra)
 type (
@@ -126,9 +129,11 @@ type (
 	PackageSet = core.PackageSet
 )
 
-// ProfileStage profiles img under the Hot Spot Detector (stage 1).
-func ProfileStage(cfg Config, img *Image, obsFn func(*StepInfo)) (*ProfileArtifact, error) {
-	return core.ProfileStage(cfg, img, obsFn)
+// ProfileStage profiles img under the Hot Spot Detector (stage 1) in one
+// timed run on the default machine; base, when non-nil, receives that
+// run's TimingStats (the unpacked baseline).
+func ProfileStage(cfg Config, img *Image, base *TimingStats) (*ProfileArtifact, error) {
+	return core.ProfileStage(cfg, img, base)
 }
 
 // RegionStage selects phases and identifies hot regions (stage 2).
@@ -264,6 +269,14 @@ type (
 
 // NumCategories is the number of Figure 9 branch categories.
 const NumCategories = phasedb.NumCategories
+
+// DetectHotSpots runs img to completion on mc's timed engine with
+// cfg.Detector watching every retired conditional branch, calling emit
+// per raw hot spot; it returns the profile statistics and the run's
+// timing.
+func DetectHotSpots(cfg Config, mc MachineConfig, img *Image, emit func(HotSpot)) (ProfileStats, TimingStats, error) {
+	return core.DetectHotSpots(cfg, mc, img, emit)
+}
 
 // NewDetector builds a Hot Spot Detector that calls onDetect per hot spot.
 func NewDetector(cfg DetectorConfig, onDetect func(HotSpot)) *Detector {

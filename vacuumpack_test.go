@@ -105,13 +105,7 @@ func TestFacadeTraceBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := NewPhaseDB()
-	det := NewDetector(ScaledConfig().Detector, func(h HotSpot) { db.Record(h) })
-	m := NewMachine(img)
-	if err := m.Run(0, func(si *StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.Branch(si.PC, si.Taken)
-		}
-	}); err != nil {
+	if _, _, err := DetectHotSpots(ScaledConfig(), DefaultMachine(), img, func(h HotSpot) { db.Record(h) }); err != nil {
 		t.Fatal(err)
 	}
 	res, err := BuildTraces(TraceConfig{}, p, img, db)
