@@ -212,6 +212,12 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	if err != nil {
 		return nil, err
 	}
+	// The blocks entered from outside their own function, computed once
+	// for the whole stage: Capture and the merge pass read it instead of
+	// rescanning the program per package. It stays exact while packages
+	// are optimized because the passes mutate only pk.Fn and never fuse an
+	// entered block.
+	entered := p.EnteredBlocks()
 	// Past installation the program carries the packages, so failures
 	// below still surface the live result: the partial set mirrors the
 	// monolith's Outcome.Pack being set before optimization could fail.
@@ -235,7 +241,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 			for _, c := range pk.Entries {
 				entries = append(entries, c)
 			}
-			snaps[pk] = equiv.Capture(p, pk.Fn, entries)
+			snaps[pk] = equiv.Capture(pk.Fn, entries, entered)
 		}
 	}
 
@@ -269,7 +275,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 		for _, c := range pk.Entries {
 			entries = append(entries, c)
 		}
-		if err := opt.ApplyPasses(ps, p, pk.Fn, entries, r, o); err != nil {
+		if err := opt.ApplyPasses(ps, entered, pk.Fn, entries, r, o); err != nil {
 			osp.End()
 			return partial(fmt.Errorf("core: pass verification (%s): %w", pk.Fn.Name, err))
 		}

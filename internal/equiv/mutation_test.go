@@ -56,6 +56,7 @@ func buildTargets(t *testing.T) []*target {
 		regByPhase[r.PhaseID] = r
 	}
 	var targets []*target
+	entered := out.Packed.EnteredBlocks()
 	for _, pk := range out.Pack.Packages {
 		r := regByPhase[pk.PhaseID]
 		if r == nil {
@@ -65,12 +66,12 @@ func buildTargets(t *testing.T) []*target {
 		for _, c := range pk.Entries {
 			entries = append(entries, c)
 		}
-		snap := equiv.Capture(out.Packed, pk.Fn, entries)
+		snap := equiv.Capture(pk.Fn, entries, entered)
 		ps := opt.Passes{
 			Merge: true, Sink: true, Layout: true, Schedule: true,
 			Sched: cfg.Sched, EntrySeedWeight: cfg.EntrySeedWeight,
 		}
-		if err := opt.ApplyPasses(ps, out.Packed, pk.Fn, entries, r, obs.Nop{}); err != nil {
+		if err := opt.ApplyPasses(ps, entered, pk.Fn, entries, r, obs.Nop{}); err != nil {
 			t.Fatal(err)
 		}
 		targets = append(targets, &target{fn: pk.Fn, snap: snap})

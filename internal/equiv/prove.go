@@ -99,16 +99,17 @@ func (s *Snapshot) refView(b *prog.Block) (view, bool) {
 	}, true
 }
 
-// Capture snapshots fn (a package function of p) for later proof. It must
+// Capture snapshots fn (a package function) for later proof. It must
 // run after installation and linking — so launch arcs, linked exits and
 // dummy-consumer sets are in place — and before the optimization passes
 // mutate the function. entries seeds the proof's entry set (the package's
-// launch-target copies); Capture completes it with every block entered
-// from outside the function (linked sibling exits) and every block whose
+// launch-target copies); Capture completes it with fn's blocks in entered,
+// the program's prog.Program.EnteredBlocks set: every block entered from
+// outside the function (linked sibling exits) and every block whose
 // address escapes through an LA instruction (dynamic-launch slots,
 // materialized return addresses), since those can be reached with
 // arbitrary machine state too.
-func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
+func Capture(fn *prog.Func, entries []*prog.Block, entered map[*prog.Block]bool) *Snapshot {
 	s := &Snapshot{
 		fn:     fn,
 		name:   fn.Name,
@@ -144,22 +145,9 @@ func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
 		add(b)
 	}
 	add(fn.Entry())
-	p.ComputePreds()
 	for _, b := range fn.Blocks {
-		for _, pr := range b.Preds() {
-			if pr.Fn != fn {
-				add(b)
-				break
-			}
-		}
-	}
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Insts {
-				if bt := b.Insts[i].BlockTarget; bt != nil && bt.Fn == fn {
-					add(bt)
-				}
-			}
+		if entered[b] {
+			add(b)
 		}
 	}
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].ID < s.entries[j].ID })

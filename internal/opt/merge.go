@@ -16,19 +16,23 @@ import (
 // address, not a function entry (call/launch target). MergeBlocks returns
 // the number of blocks fused.
 func MergeBlocks(p *prog.Program, fn *prog.Func) int {
-	return mergeBlocks(p, fn, nil)
+	return mergeBlocks(fn, p.EnteredBlocks(), nil)
 }
 
-func mergeBlocks(p *prog.Program, fn *prog.Func, rec *PassRecord) int {
-	p.ComputePreds()
-	// Blocks whose address escapes through LA must stay addressable.
-	laTargets := make(map[*prog.Block]bool)
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Insts {
-				if in.BlockTarget != nil {
-					laTargets[in.BlockTarget] = true
-				}
+// mergeBlocks is MergeBlocks against a precomputed entered set
+// (prog.Program.EnteredBlocks): a block in it has a predecessor outside fn
+// or an escaping address and is never fused, so a single in-function
+// predecessor is exactly a single program-wide one. The counts stay exact
+// across merges: fusing c into its sole predecessor b hands c's arcs to b,
+// whose only arc was to c, so every surviving block keeps its count.
+func mergeBlocks(fn *prog.Func, entered map[*prog.Block]bool, rec *PassRecord) int {
+	preds := make(map[*prog.Block]int, len(fn.Blocks))
+	var succs []*prog.Block
+	for _, b := range fn.Blocks {
+		succs = b.Succs(succs[:0])
+		for _, s := range succs {
+			if s.Fn == fn {
+				preds[s]++
 			}
 		}
 	}
@@ -44,7 +48,7 @@ func mergeBlocks(p *prog.Program, fn *prog.Func, rec *PassRecord) int {
 			if c == nil || c.Fn != fn || c == b || c == fn.Entry() {
 				continue
 			}
-			if laTargets[c] || len(c.Preds()) != 1 {
+			if entered[c] || preds[c] != 1 {
 				continue
 			}
 			// Fuse c into b.
@@ -68,7 +72,6 @@ func mergeBlocks(p *prog.Program, fn *prog.Func, rec *PassRecord) int {
 			}
 			merged++
 			changed = true
-			p.ComputePreds()
 			break // layout changed under us; restart the scan
 		}
 	}

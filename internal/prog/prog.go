@@ -304,6 +304,33 @@ func (p *Program) ComputePreds() {
 	}
 }
 
+// EnteredBlocks returns the set of blocks entered from outside their own
+// function: every target of a CFG arc from another function's block
+// (package launch points, links and side exits) and every block whose
+// address an LA instruction materializes (Ins.BlockTarget: dynamic-launch
+// slots, return addresses of partially inlined calls). Calls are not CFG
+// arcs, so a function entry reached only by calls is not in the set.
+func (p *Program) EnteredBlocks() map[*Block]bool {
+	entered := make(map[*Block]bool)
+	var succs []*Block
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			succs = b.Succs(succs[:0])
+			for _, s := range succs {
+				if s.Fn != b.Fn {
+					entered[s] = true
+				}
+			}
+			for i := range b.Insts {
+				if bt := b.Insts[i].BlockTarget; bt != nil {
+					entered[bt] = true
+				}
+			}
+		}
+	}
+	return entered
+}
+
 // NumBlocks counts blocks program-wide.
 func (p *Program) NumBlocks() int {
 	n := 0
