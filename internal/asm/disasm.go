@@ -2,6 +2,7 @@ package asm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/prog"
@@ -16,7 +17,7 @@ import (
 // block identities may differ (non-adjacent branch fallthroughs become tiny
 // explicit jump blocks, exactly the jumps the linearizer would synthesize).
 func Disassemble(p *prog.Program) string {
-	var sb strings.Builder
+	buf := make([]byte, 0, disasmSizeHint(p))
 	if len(p.Data) > 0 {
 		const perLine = 8
 		for i := 0; i < len(p.Data); i += perLine {
@@ -24,38 +25,44 @@ func Disassemble(p *prog.Program) string {
 			if end > len(p.Data) {
 				end = len(p.Data)
 			}
-			sb.WriteString(".data")
+			buf = append(buf, ".data"...)
 			for _, v := range p.Data[i:end] {
-				fmt.Fprintf(&sb, " %d", v)
+				buf = strconv.AppendInt(append(buf, ' '), v, 10)
 			}
-			sb.WriteByte('\n')
+			buf = append(buf, '\n')
 		}
 	}
-	label := func(b *prog.Block) string { return fmt.Sprintf("B%d", b.ID) }
+	label := func(buf []byte, b *prog.Block) []byte {
+		return strconv.AppendInt(append(buf, 'B'), int64(b.ID), 10)
+	}
+	jmp := func(buf []byte, b *prog.Block) []byte {
+		return append(label(append(buf, "  jmp "...), b), '\n')
+	}
 
 	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "\n.func %s\n", f.Name)
+		buf = append(append(append(buf, "\n.func "...), f.Name...), '\n')
 		if p.Main == f {
-			sb.WriteString(".main\n")
+			buf = append(buf, ".main\n"...)
 		}
 		if f.IsPackage {
-			fmt.Fprintf(&sb, ".package %d\n", f.PhaseID)
+			buf = append(strconv.AppendInt(append(buf, ".package "...), int64(f.PhaseID), 10), '\n')
 		}
 		for bi, b := range f.Blocks {
-			fmt.Fprintf(&sb, "%s:", label(b))
+			buf = append(label(buf, b), ':')
 			if len(b.ExitConsumes) > 0 {
-				sb.WriteString(" ; exit consumes")
+				buf = append(buf, " ; exit consumes"...)
 				for _, r := range b.ExitConsumes {
-					fmt.Fprintf(&sb, " %s", r)
+					buf = r.Append(append(buf, ' '))
 				}
 			}
-			sb.WriteByte('\n')
+			buf = append(buf, '\n')
 			for _, in := range b.Insts {
 				if in.BlockTarget != nil {
-					fmt.Fprintf(&sb, "  la %s, %s\n", in.Rd, label(in.BlockTarget))
+					buf = in.Rd.Append(append(buf, "  la "...))
+					buf = append(label(append(buf, ", "...), in.BlockTarget), '\n')
 					continue
 				}
-				fmt.Fprintf(&sb, "  %s\n", in.Inst)
+				buf = append(in.Inst.Append(append(buf, "  "...)), '\n')
 			}
 			var next *prog.Block
 			if bi+1 < len(f.Blocks) {
@@ -64,28 +71,46 @@ func Disassemble(p *prog.Program) string {
 			switch b.Kind {
 			case prog.TermFall:
 				if b.Next != next {
-					fmt.Fprintf(&sb, "  jmp %s\n", label(b.Next))
+					buf = jmp(buf, b.Next)
 				}
 			case prog.TermBranch:
-				fmt.Fprintf(&sb, "  %s %s, %s, %s\n", b.CmpOp, b.Rs1, b.Rs2, label(b.Taken))
+				buf = append(append(buf, "  "...), b.CmpOp.String()...)
+				buf = b.Rs1.Append(append(buf, ' '))
+				buf = b.Rs2.Append(append(buf, ", "...))
+				buf = append(label(append(buf, ", "...), b.Taken), '\n')
 				if b.Next != next {
-					fmt.Fprintf(&sb, "  jmp %s\n", label(b.Next))
+					buf = jmp(buf, b.Next)
 				}
 			case prog.TermCall:
-				fmt.Fprintf(&sb, "  call %s\n", b.Callee.Name)
+				buf = append(append(append(buf, "  call "...), b.Callee.Name...), '\n')
 				if b.Next != next {
-					fmt.Fprintf(&sb, "  jmp %s\n", label(b.Next))
+					buf = jmp(buf, b.Next)
 				}
 			case prog.TermRet:
-				sb.WriteString("  ret\n")
+				buf = append(buf, "  ret\n"...)
 			case prog.TermHalt:
-				sb.WriteString("  halt\n")
+				buf = append(buf, "  halt\n"...)
 			case prog.TermJumpReg:
-				fmt.Fprintf(&sb, "  jr %s\n", b.Rs1)
+				buf = append(b.Rs1.Append(append(buf, "  jr "...)), '\n')
 			}
 		}
 	}
-	return sb.String()
+	return string(buf)
+}
+
+// disasmSizeHint estimates Disassemble's output length, erring high, so
+// the text is built in one allocation: about 12 bytes per data word, a
+// header per function, a label line and terminator lines per block (plus
+// 4 bytes per exit-consumed register), and 28 bytes per instruction line.
+func disasmSizeHint(p *prog.Program) int {
+	n := 12 * len(p.Data)
+	for _, f := range p.Funcs {
+		n += 32 + len(f.Name)
+		for _, b := range f.Blocks {
+			n += 48 + 4*len(b.ExitConsumes) + 28*len(b.Insts)
+		}
+	}
+	return n
 }
 
 // DisassembleImage renders a linearized code image with one slot per line,

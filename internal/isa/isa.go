@@ -10,7 +10,10 @@
 // count instruction slots, not bytes.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names an architectural register. Registers 0..31 are the integer file
 // and 32..47 are the floating-point file (F0..F15). R0 reads as zero and
@@ -48,18 +51,21 @@ func (r Reg) IsFP() bool { return r >= NumIntRegs && r < NumRegs }
 func (r Reg) Valid() bool { return r < NumRegs }
 
 // String renders the register in assembly syntax (r4, sp, ra, f2, ...).
-func (r Reg) String() string {
+func (r Reg) String() string { return string(r.Append(nil)) }
+
+// Append appends the register's assembly name (String) to dst.
+func (r Reg) Append(dst []byte) []byte {
 	switch {
 	case r == RSP:
-		return "sp"
+		return append(dst, "sp"...)
 	case r == RRA:
-		return "ra"
+		return append(dst, "ra"...)
 	case r < NumIntRegs:
-		return fmt.Sprintf("r%d", uint8(r))
+		return strconv.AppendUint(append(dst, 'r'), uint64(r), 10)
 	case r < NumRegs:
-		return fmt.Sprintf("f%d", uint8(r)-NumIntRegs)
+		return strconv.AppendUint(append(dst, 'f'), uint64(r-NumIntRegs), 10)
 	default:
-		return fmt.Sprintf("reg?%d", uint8(r))
+		return strconv.AppendUint(append(dst, "reg?"...), uint64(r), 10)
 	}
 }
 
@@ -374,28 +380,49 @@ func (in Inst) Uses(dst []Reg) []Reg {
 }
 
 // String renders the instruction in assembly syntax with numeric targets.
-func (in Inst) String() string {
+func (in Inst) String() string { return string(in.Append(nil)) }
+
+// Append appends the instruction's assembly form (String) to dst.
+func (in Inst) Append(dst []byte) []byte {
 	info := opTable[in.Op]
+	dst = append(dst, info.name...)
 	switch {
 	case in.Op == LD || in.Op == FLD:
-		return fmt.Sprintf("%s %s, %d(%s)", info.name, in.Rd, in.Imm, in.Rs1)
+		return appendMem(dst, in.Rd, in.Imm, in.Rs1)
 	case in.Op == ST || in.Op == FST:
-		return fmt.Sprintf("%s %s, %d(%s)", info.name, in.Rs2, in.Imm, in.Rs1)
+		return appendMem(dst, in.Rs2, in.Imm, in.Rs1)
 	case in.Op == LI:
-		return fmt.Sprintf("%s %s, %d", info.name, in.Rd, in.Imm)
+		dst = in.Rd.Append(append(dst, ' '))
+		return strconv.AppendInt(append(dst, ", "...), in.Imm, 10)
 	case in.Op == LA:
-		return fmt.Sprintf("%s %s, @%d", info.name, in.Rd, in.Target)
+		dst = in.Rd.Append(append(dst, ' '))
+		return strconv.AppendInt(append(dst, ", @"...), in.Target, 10)
 	case info.hasTarget && info.hasRs1: // conditional branches
-		return fmt.Sprintf("%s %s, %s, @%d", info.name, in.Rs1, in.Rs2, in.Target)
+		dst = in.Rs1.Append(append(dst, ' '))
+		dst = in.Rs2.Append(append(dst, ", "...))
+		return strconv.AppendInt(append(dst, ", @"...), in.Target, 10)
 	case info.hasTarget:
-		return fmt.Sprintf("%s @%d", info.name, in.Target)
+		return strconv.AppendInt(append(dst, " @"...), in.Target, 10)
 	case info.hasRd && info.hasRs1 && info.hasRs2:
-		return fmt.Sprintf("%s %s, %s, %s", info.name, in.Rd, in.Rs1, in.Rs2)
+		dst = in.Rd.Append(append(dst, ' '))
+		dst = in.Rs1.Append(append(dst, ", "...))
+		return in.Rs2.Append(append(dst, ", "...))
 	case info.hasRd && info.hasRs1 && info.hasImm:
-		return fmt.Sprintf("%s %s, %s, %d", info.name, in.Rd, in.Rs1, in.Imm)
+		dst = in.Rd.Append(append(dst, ' '))
+		dst = in.Rs1.Append(append(dst, ", "...))
+		return strconv.AppendInt(append(dst, ", "...), in.Imm, 10)
 	case info.hasRd && info.hasRs1:
-		return fmt.Sprintf("%s %s, %s", info.name, in.Rd, in.Rs1)
+		dst = in.Rd.Append(append(dst, ' '))
+		return in.Rs1.Append(append(dst, ", "...))
 	default:
-		return info.name
+		return dst
 	}
+}
+
+// appendMem appends a memory operand form: " reg, imm(base)".
+func appendMem(dst []byte, r Reg, imm int64, base Reg) []byte {
+	dst = r.Append(append(dst, ' '))
+	dst = strconv.AppendInt(append(dst, ", "...), imm, 10)
+	dst = base.Append(append(dst, '('))
+	return append(dst, ')')
 }

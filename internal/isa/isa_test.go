@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -144,6 +146,75 @@ func TestInstString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// regStringFmt and instStringFmt are the fmt-based renderings Append
+// replaced, kept as the reference Append must match byte for byte: the
+// packed-program text (and through it package-set hashes and store keys)
+// is built from Append.
+func regStringFmt(r Reg) string {
+	switch {
+	case r == RSP:
+		return "sp"
+	case r == RRA:
+		return "ra"
+	case r < NumIntRegs:
+		return fmt.Sprintf("r%d", uint8(r))
+	case r < NumRegs:
+		return fmt.Sprintf("f%d", uint8(r)-NumIntRegs)
+	default:
+		return fmt.Sprintf("reg?%d", uint8(r))
+	}
+}
+
+func instStringFmt(in Inst) string {
+	info := opTable[in.Op]
+	r := regStringFmt
+	switch {
+	case in.Op == LD || in.Op == FLD:
+		return fmt.Sprintf("%s %s, %d(%s)", info.name, r(in.Rd), in.Imm, r(in.Rs1))
+	case in.Op == ST || in.Op == FST:
+		return fmt.Sprintf("%s %s, %d(%s)", info.name, r(in.Rs2), in.Imm, r(in.Rs1))
+	case in.Op == LI:
+		return fmt.Sprintf("%s %s, %d", info.name, r(in.Rd), in.Imm)
+	case in.Op == LA:
+		return fmt.Sprintf("%s %s, @%d", info.name, r(in.Rd), in.Target)
+	case info.hasTarget && info.hasRs1:
+		return fmt.Sprintf("%s %s, %s, @%d", info.name, r(in.Rs1), r(in.Rs2), in.Target)
+	case info.hasTarget:
+		return fmt.Sprintf("%s @%d", info.name, in.Target)
+	case info.hasRd && info.hasRs1 && info.hasRs2:
+		return fmt.Sprintf("%s %s, %s, %s", info.name, r(in.Rd), r(in.Rs1), r(in.Rs2))
+	case info.hasRd && info.hasRs1 && info.hasImm:
+		return fmt.Sprintf("%s %s, %s, %d", info.name, r(in.Rd), r(in.Rs1), in.Imm)
+	case info.hasRd && info.hasRs1:
+		return fmt.Sprintf("%s %s, %s", info.name, r(in.Rd), r(in.Rs1))
+	default:
+		return info.name
+	}
+}
+
+func TestAppendMatchesFmt(t *testing.T) {
+	for r := 0; r < 256; r++ {
+		if got, want := Reg(r).String(), regStringFmt(Reg(r)); got != want {
+			t.Errorf("Reg(%d): %q, fmt %q", r, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		in := randomInst(rng)
+		if i%4 == 0 { // extremes and out-of-range operands
+			in.Imm = [...]int64{0, -1, math.MinInt64, math.MaxInt64}[i/4%4]
+			in.Target = -in.Target
+			in.Rd, in.Rs1, in.Rs2 = Reg(rng.Intn(256)), Reg(rng.Intn(256)), Reg(rng.Intn(256))
+		}
+		if got, want := in.String(), instStringFmt(in); got != want {
+			t.Fatalf("%+v: %q, fmt %q", in, got, want)
+		}
+		if got := string(in.Append([]byte("x"))); got != "x"+instStringFmt(in) {
+			t.Fatalf("%+v: Append onto a prefix gave %q", in, got)
 		}
 	}
 }
