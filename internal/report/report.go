@@ -475,6 +475,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 		Categories: db.Categorize(),
 	}
 
+	orig := &originalEffects{img: img}
 	variants := core.Variants()
 	ir.Variants = make([]VariantResult, len(variants))
 	verrs := make([]error, len(variants))
@@ -493,7 +494,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 					rec = obs.NewRecorder()
 					vo = rec
 				}
-				ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, v, vo, tally)
+				ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, orig, v, vo, tally)
 				if rec != nil {
 					vtraces[i] = rec.Export()
 				}
@@ -505,7 +506,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 		}
 	} else {
 		for i, v := range variants {
-			ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, v, o, tally)
+			ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, orig, v, o, tally)
 		}
 	}
 	if err := errors.Join(verrs...); err != nil {
@@ -531,7 +532,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 // run, skipping clone, region and package stages wholesale. The timed
 // evaluation is deterministic, so warm results equal cold results
 // exactly.
-func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, memo *profileMemo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
+func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, memo *profileMemo, orig *originalEffects, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
 	sp := obs.Span{}
 	if o.Enabled() {
 		sp = o.StartSpan("variant:" + v.Name())
@@ -546,7 +547,7 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 	var cfgHash uint64
 	if opts.Store != nil {
 		cfgHash = cfg.Hash()
-		if vr, ok := storedVariant(opts, imgHash, cfgHash, v, base, st, o); ok {
+		if vr, ok := storedVariant(opts, imgHash, cfgHash, v, base, st, orig, o); ok {
 			o.Count(obs.StoreHitsCounter, 1)
 			o.Count(obs.StorePackageHitsCounter, 1)
 			tally.packageHits.Add(1)
@@ -578,7 +579,7 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 	if err != nil {
 		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
 	}
-	stats, bc, h, n, err := timePacked(opts, packedImg, o)
+	stats, bc, m, err := timePacked(opts, packedImg, o)
 	if err != nil {
 		return VariantResult{}, fmt.Errorf("variant %s: timed run: %w", v.Name(), err)
 	}
@@ -599,7 +600,7 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 		Links:      res.Links,
 		Launch:     res.LaunchPoints,
 		Phases:     ra.NumRegions(),
-		Equivalent: h == st.DataHash && n == st.DataStores,
+		Equivalent: orig.equivalent(st, m),
 	}
 	fillTimed(&vr, stats, bc, base)
 	return vr, nil
@@ -610,7 +611,7 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 // image against the set's PackedHash, then run the timed evaluation.
 // Any failure — missing entry, corruption, hash mismatch — returns
 // ok == false and the caller recomputes cold.
-func storedVariant(opts Options, imgHash, cfgHash uint64, v core.Variant, base cpu.TimingStats, st core.ProfileStats, o obs.Observer) (VariantResult, bool) {
+func storedVariant(opts Options, imgHash, cfgHash uint64, v core.Variant, base cpu.TimingStats, st core.ProfileStats, orig *originalEffects, o obs.Observer) (VariantResult, bool) {
 	set, err := opts.Store.GetPackageSet(imgHash, cfgHash)
 	if err != nil {
 		return VariantResult{}, false
@@ -630,7 +631,7 @@ func storedVariant(opts Options, imgHash, cfgHash uint64, v core.Variant, base c
 	if set.PackedHash == 0 || core.ImageHash(packedImg) != set.PackedHash {
 		return VariantResult{}, false
 	}
-	stats, bc, h, n, err := timePacked(opts, packedImg, o)
+	stats, bc, m, err := timePacked(opts, packedImg, o)
 	if err != nil {
 		return VariantResult{}, false
 	}
@@ -644,16 +645,48 @@ func storedVariant(opts Options, imgHash, cfgHash uint64, v core.Variant, base c
 		Links:      set.Stats.Links,
 		Launch:     set.Stats.LaunchPoints,
 		Phases:     ra.NumRegions(),
-		Equivalent: h == st.DataHash && n == st.DataStores,
+		Equivalent: orig.equivalent(st, m),
 	}
 	fillTimed(&vr, stats, bc, base)
 	return vr, true
 }
 
+// originalEffects decides VariantResult.Equivalent for one input's
+// variants. The profile pass's store hash is order-sensitive, so a
+// scheduler-legal swap of two independent stores changes it without
+// changing the program's effects. A matching hash and count decide at
+// once; on a mismatch the original image runs functionally — once per
+// input, on the first variant that needs it, shared by the rest — and
+// cpu.Machine.SameEffects decides, as core.Evaluate does.
+type originalEffects struct {
+	img *prog.Image
+	// mu guards m: its one run, and the comparisons, whose loads move
+	// the machine's page cursor.
+	mu  sync.Mutex
+	m   *cpu.Machine
+	err error
+}
+
+// equivalent reports whether the packed run's data-segment effects match
+// the original's; st is the original's profile-pass statistics.
+func (oe *originalEffects) equivalent(st core.ProfileStats, packed *cpu.Machine) bool {
+	if h, n := packed.DataHash(); h == st.DataHash && n == st.DataStores {
+		return true
+	}
+	oe.mu.Lock()
+	defer oe.mu.Unlock()
+	if oe.m == nil {
+		oe.m = cpu.NewMachine(oe.img)
+		oe.err = oe.m.Run(0, nil)
+	}
+	return oe.err == nil && oe.m.SameEffects(packed)
+}
+
 // timePacked runs the timed evaluation of one packed image inside an
 // evaluate span, emitting the engine counters — the shared tail of the
-// cold and warm variant paths.
-func timePacked(opts Options, packedImg *prog.Image, o obs.Observer) (cpu.TimingStats, *cpu.BlockCache, uint64, uint64, error) {
+// cold and warm variant paths. It returns the finished machine for the
+// equivalence check.
+func timePacked(opts Options, packedImg *prog.Image, o obs.Observer) (cpu.TimingStats, *cpu.BlockCache, *cpu.Machine, error) {
 	esp := o.StartSpan(obs.StageEvaluate)
 	var bc *cpu.BlockCache
 	if !opts.Machine.DisableBlockCache {
@@ -662,7 +695,7 @@ func timePacked(opts Options, packedImg *prog.Image, o obs.Observer) (cpu.Timing
 	stats, m, err := cpu.RunTimedCached(opts.Machine, packedImg, 0, bc)
 	esp.End()
 	if err != nil {
-		return cpu.TimingStats{}, nil, 0, 0, err
+		return cpu.TimingStats{}, nil, nil, err
 	}
 	o.Observe("eval.cycles", float64(stats.Cycles))
 	if bc != nil {
@@ -674,8 +707,7 @@ func timePacked(opts Options, packedImg *prog.Image, o obs.Observer) (cpu.Timing
 		o.Count(obs.SuperblockSideExitsCounter, int64(bc.SB.SideExits))
 		o.Count(obs.SuperblockChainedCounter, int64(bc.SB.ChainedInsts))
 	}
-	h, n := m.DataHash()
-	return stats, bc, h, n, nil
+	return stats, bc, m, nil
 }
 
 // fillTimed copies the timed run's engine fields and speedup into the
