@@ -37,6 +37,14 @@ go test -run '^$' -bench 'BenchmarkPipelineVerify' \
   -benchtime "$BENCHTIME" ./internal/verify/
 
 echo
+echo "== package stage of one daemon repack (internal/core) =="
+# vpr's daemon-shaped profile (its whole run plus 200 phase-shifted
+# records, about 480 packages, -equiv on): a pass that rescans the whole
+# program per package shows up here as a quadratic jump.
+go test -run '^$' -bench 'BenchmarkPackageStageDaemon' \
+  -benchtime "$BENCHTIME" ./internal/core/
+
+echo
 echo "== full suite wall time (scale 1, default -j) + verifier/equiv overhead =="
 # -verifyoverhead re-runs the suite with the static verifier gating every
 # stage and records verify_wall_seconds / verify_overhead_fraction in the

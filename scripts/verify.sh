@@ -19,6 +19,9 @@ mkdir -p bin
 go build -o bin/vplint ./cmd/vplint
 go vet -vettool="$(pwd)/bin/vplint" ./...
 go test ./...
+# perfbench is its own module (replace repro => ../), so the root
+# `go test ./...` skips it; vet and test it against this checkout.
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 go test -race ./internal/report/...
 go test -race ./internal/obs/...
 go test -race ./internal/telemetry/...
