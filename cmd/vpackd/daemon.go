@@ -46,6 +46,12 @@ type programState struct {
 	// so ingest touches it outside the shard lock.
 	tracker *drift.Tracker
 
+	// memo holds the certificates of the last successful repack (and of
+	// any failed ones since), so a repack re-proves only the packages
+	// that changed. Only the repack worker touches it, and pending keeps
+	// a shard's repacks from overlapping, so it needs no lock.
+	memo equiv.Memo
+
 	mu      sync.Mutex
 	db      *phasedb.DB
 	records int64 // total hot-spot records accepted
@@ -99,6 +105,11 @@ type Daemon struct {
 	closed  bool
 	queue   chan *programState
 	poolWG  sync.WaitGroup
+
+	// packageStage runs a repack's package stage through the program's
+	// proof memo: core.PackageStageReusing without an observer. Tests
+	// replace it to inject a miscompile between the passes and the proof.
+	packageStage func(cfg core.Config, p *prog.Program, img *prog.Image, ra *core.RegionArtifact, memo *equiv.Memo) (*core.PackageSet, error)
 }
 
 // NewDaemon registers one programState per benchmark (restricted to
@@ -150,6 +161,9 @@ func NewDaemon(cfg core.Config, benches []string, scale int64, workers, queueCap
 		programs: make(map[string]*programState, len(ordered)),
 		events:   drift.NewEventRing(drift.DefaultEventRing),
 		queue:    make(chan *programState, queueCap),
+		packageStage: func(cfg core.Config, p *prog.Program, img *prog.Image, ra *core.RegionArtifact, memo *equiv.Memo) (*core.PackageSet, error) {
+			return core.PackageStageReusing(cfg, p, img, ra, obs.Nop{}, memo)
+		},
 	}
 	for _, b := range ordered {
 		in := b.Inputs[0]
@@ -426,6 +440,12 @@ func (d *Daemon) repack(st *programState) {
 	}
 	encoded, err := d.buildVersion(st, pa, prov)
 	prov.BuildUS = time.Since(start).Microseconds()
+	if err == nil {
+		// The next repack reuses this build's certificates; older ones
+		// go. A failed build keeps both generations. This runs before
+		// pending clears, so no other repack of st can touch the memo.
+		st.memo.Rotate()
+	}
 
 	version := 0
 	st.mu.Lock()
@@ -547,7 +567,7 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	}
 
 	stage = time.Now()
-	set, err := core.PackageStage(d.cfg, clone, cloneImg, ra)
+	set, err := d.packageStage(d.cfg, clone, cloneImg, ra, &st.memo)
 	prov.Spans = append(prov.Spans, core.SpanSummary{Name: "package_stage", US: time.Since(stage).Microseconds()})
 	if err != nil {
 		return nil, err
@@ -558,6 +578,7 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 		d.rec.Count(obs.EquivPathsProvedCounter, int64(c.PathsProved))
 		d.rec.Count(obs.EquivPathsFuzzedCounter, int64(c.PathsFuzzed))
 	}
+	d.rec.Count(obs.EquivReusedCounter, int64(set.Reused()))
 
 	stage = time.Now()
 	var buf bytes.Buffer

@@ -17,8 +17,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/drift"
+	"repro/internal/equiv"
 	"repro/internal/hsd"
+	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/prog"
 	"repro/internal/telemetry"
 )
 
@@ -707,5 +710,111 @@ func TestDaemonEquivGate(t *testing.T) {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics is missing %s", series)
 		}
+	}
+}
+
+// newReuseDaemon builds an equiv-gated m88ksim daemon whose batch is too
+// large for ingest ever to enqueue a repack: the test drives repacks
+// itself. It records one captured run into the shard.
+func newReuseDaemon(t *testing.T) (*Daemon, *obs.Recorder, *programState) {
+	t.Helper()
+	rec := obs.NewRecorder()
+	cfg := core.ScaledConfig()
+	cfg.Equiv = true
+	d, err := NewDaemon(cfg, []string{"m88ksim"}, 1, 1, 4, 1<<30,
+		testDriftCfg, nil, rec, slog.New(slog.DiscardHandler))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	st := d.programs["m88ksim"]
+	d.record(st, captureSpots(t, d, "m88ksim"), "ing-test")
+	return d, rec, st
+}
+
+// TestDaemonRepackReusesProofs repacks an unchanged shard twice: both
+// versions must be byte-identical, and the second must reuse every proof
+// the first published.
+func TestDaemonRepackReusesProofs(t *testing.T) {
+	d, rec, st := newReuseDaemon(t)
+	d.repack(st)
+	first := rec.Export().Metrics.Counters[obs.EquivReusedCounter]
+	d.repack(st)
+	if len(st.versions) != 2 {
+		t.Fatalf("%d versions after two repacks (last error %q)", len(st.versions), st.lastErr)
+	}
+	if !bytes.Equal(st.versions[0], st.versions[1]) {
+		t.Fatal("repacks of an unchanged shard published different bytes")
+	}
+	set, err := core.DecodePackageSet(bytes.NewReader(st.versions[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Equiv) == 0 {
+		t.Fatal("published version carries no certificates")
+	}
+	if got := rec.Export().Metrics.Counters[obs.EquivReusedCounter] - first; got != int64(len(set.Equiv)) {
+		t.Fatalf("second repack reused %d of %d proofs", got, len(set.Equiv))
+	}
+	if !strings.Contains(get(d.Handler(), "/metrics").Body.String(), telemetry.MetricName(obs.EquivReusedCounter)) {
+		t.Errorf("/metrics is missing %s", telemetry.MetricName(obs.EquivReusedCounter))
+	}
+}
+
+// storeAtEntry is an observer that miscompiles the first package the
+// stage optimizes: once that package's last pass has run, every package
+// function of its phase gains a store at its entry, so the proof that
+// follows refutes it.
+type storeAtEntry struct {
+	obs.Nop
+	p    *prog.Program
+	done bool
+}
+
+func (s *storeAtEntry) Emit(e obs.Event) {
+	if s.done || e.Kind != obs.PassApplied || e.Name != "schedule" {
+		return
+	}
+	s.done = true
+	for _, fn := range s.p.Funcs {
+		if fn.IsPackage && fn.PhaseID == e.Phase {
+			b := fn.Entry()
+			st := prog.Ins{Inst: isa.Inst{Op: isa.ST, Rs1: isa.R0, Rs2: isa.R0, Imm: 1 << 40}}
+			b.Insts = append([]prog.Ins{st}, b.Insts...)
+		}
+	}
+}
+
+// TestDaemonRefutedBuildLeavesMemoEmpty refutes a repack's first proof,
+// in the manner of TestDaemonEquivGate's blocking path, and checks the
+// refutation left nothing in the program's proof memo; the next, clean
+// repack then proves and publishes normally.
+func TestDaemonRefutedBuildLeavesMemoEmpty(t *testing.T) {
+	d, rec, st := newReuseDaemon(t)
+	clean := d.packageStage
+	d.packageStage = func(cfg core.Config, p *prog.Program, img *prog.Image, ra *core.RegionArtifact, memo *equiv.Memo) (*core.PackageSet, error) {
+		return core.PackageStageReusing(cfg, p, img, ra, &storeAtEntry{p: p}, memo)
+	}
+	d.repack(st)
+	if len(st.versions) != 0 {
+		t.Fatal("a refuted build was published")
+	}
+	if !strings.Contains(st.lastErr, "translation validation") {
+		t.Fatalf("repack error %q, want a refutation", st.lastErr)
+	}
+	if n := rec.Export().Metrics.Counters[obs.DaemonEquivRejectedCounter]; n != 1 {
+		t.Fatalf("%d equiv rejections, want 1", n)
+	}
+	if n := st.memo.Len(); n != 0 {
+		t.Fatalf("refuted build left %d certificates in the memo", n)
+	}
+
+	d.packageStage = clean
+	d.repack(st)
+	if len(st.versions) != 1 {
+		t.Fatalf("clean repack after a refutation published nothing: %q", st.lastErr)
+	}
+	if st.memo.Len() == 0 {
+		t.Fatal("clean repack left the memo empty")
 	}
 }

@@ -451,7 +451,14 @@ type PackageSet struct {
 	// live results, set when the stage ran in-process.
 	res    *pack.Result
 	packed *prog.Program
+	// reused counts the certificates in Equiv that PackageStageReusing
+	// took from its memo; it is not encoded.
+	reused int
 }
+
+// Reused returns how many of the set's certificates the producing stage
+// reused from a proof memo instead of proving (0 for a decoded set).
+func (s *PackageSet) Reused() int { return s.reused }
 
 // newPackageSet lowers an installation result over the packed program.
 // PackedAsm and PackedHash are deferred to encode time (sync), so the

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/equiv"
 	"repro/internal/hsd"
+	"repro/internal/obs"
 	"repro/internal/phasedb"
 	"repro/internal/prog"
 	"repro/internal/workload"
@@ -20,10 +22,10 @@ const daemonShiftedRecords = 200
 // bench's whole captured run at its first input (ScaledConfig detector),
 // followed by daemonShiftedRecords records cycled from a phase-shifted
 // copy of that run (fixed seed) — in each shifted record a seeded 40% of
-// the branches drop out and the survivors' taken counts flip. It returns
-// the served program, its image and the artifact, stamped as the daemon
-// stamps one.
-func buildDaemonProfile(tb testing.TB, bench string) (*prog.Program, *prog.Image, *ProfileArtifact) {
+// the branches drop out and the survivors' taken counts flip. It fills
+// f's served program, its image, both record streams and the artifact,
+// stamped as the daemon stamps one.
+func buildDaemonProfile(tb testing.TB, bench string, f *daemonFixture) {
 	tb.Helper()
 	b, err := workload.ByName(bench)
 	if err != nil {
@@ -45,26 +47,33 @@ func buildDaemonProfile(tb testing.TB, bench string) (*prog.Program, *prog.Image
 	if len(spots) == 0 {
 		tb.Fatalf("%s: no hot spots detected", bench)
 	}
-	db := phasedb.New(cfg.Filter)
-	for _, h := range spots {
-		db.Record(h)
-	}
 	rng := rand.New(rand.NewSource(1))
 	shifted := make([]hsd.HotSpot, len(spots))
 	for i, h := range spots {
 		shifted[i] = shiftHotSpot(rng, h)
 	}
-	for i := 0; i < daemonShiftedRecords; i++ {
-		db.Record(shifted[i%len(shifted)])
+	f.p, f.img, f.spots, f.shifted = p, img, spots, shifted
+	f.pa = f.profile(bench, daemonShiftedRecords)
+}
+
+// profile returns the artifact of f's captured run followed by n records
+// cycled from its shifted copy.
+func (f *daemonFixture) profile(bench string, n int) *ProfileArtifact {
+	cfg := ScaledConfig()
+	db := phasedb.New(cfg.Filter)
+	for _, h := range f.spots {
+		db.Record(h)
 	}
-	pa := &ProfileArtifact{
+	for i := 0; i < n; i++ {
+		db.Record(f.shifted[i%len(f.shifted)])
+	}
+	return &ProfileArtifact{
 		Schema:      ProfileArtifactSchema,
 		Program:     bench,
-		ProgramHash: ImageHash(img),
+		ProgramHash: ImageHash(f.img),
 		ProfileKey:  cfg.ProfileKey(),
 		Phases:      db.Snapshot(),
 	}
-	return p, img, pa
 }
 
 // shiftHotSpot drops a seeded 40% of h's branches and flips the
@@ -95,6 +104,8 @@ type daemonFixture struct {
 	img *prog.Image
 	pa  *ProfileArtifact
 	set *PackageSet
+	// spots is the captured run; shifted its phase-shifted copy.
+	spots, shifted []hsd.HotSpot
 }
 
 var (
@@ -108,7 +119,7 @@ func fixture(tb testing.TB, bench string) *daemonFixture {
 	f, ok := daemonFixtures[bench]
 	if !ok {
 		f = &daemonFixture{}
-		f.p, f.img, f.pa = buildDaemonProfile(tb, bench)
+		buildDaemonProfile(tb, bench, f)
 		daemonFixtures[bench] = f
 	}
 	return f
@@ -138,8 +149,24 @@ func daemonPackageStage(tb testing.TB, bench string) *PackageSet {
 	return f.set
 }
 
+// daemonProfileExtended returns bench's daemon-shaped profile with extra
+// more shifted records: the profile the daemon's next repack sees.
+func daemonProfileExtended(tb testing.TB, bench string, extra int) *ProfileArtifact {
+	tb.Helper()
+	daemonMu.Lock()
+	defer daemonMu.Unlock()
+	return fixture(tb, bench).profile(bench, daemonShiftedRecords+extra)
+}
+
 // repackDaemonProfile is one repack of pa against a fresh clone of p.
 func repackDaemonProfile(tb testing.TB, p *prog.Program, pa *ProfileArtifact) *PackageSet {
+	tb.Helper()
+	return repackReusing(tb, p, pa, nil)
+}
+
+// repackReusing is one repack of pa against a fresh clone of p, proving
+// through memo (nil: no reuse).
+func repackReusing(tb testing.TB, p *prog.Program, pa *ProfileArtifact, memo *equiv.Memo) *PackageSet {
 	tb.Helper()
 	cfg := ScaledConfig()
 	cfg.Equiv = true
@@ -152,7 +179,7 @@ func repackDaemonProfile(tb testing.TB, p *prog.Program, pa *ProfileArtifact) *P
 	if err != nil {
 		tb.Fatal(err)
 	}
-	set, err := PackageStage(cfg, clone, img, ra)
+	set, err := PackageStageReusing(cfg, clone, img, ra, obs.Nop{}, memo)
 	if err != nil {
 		tb.Fatal(err)
 	}

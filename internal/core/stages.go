@@ -170,6 +170,21 @@ func PackageStage(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifa
 // package and optimize stage spans, per-package events from construction
 // and linking, and PhaseSkipped events for regions that built no package.
 func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, o obs.Observer) (*PackageSet, error) {
+	return packageStage(cfg, p, img, ra, o, nil)
+}
+
+// PackageStageReusing is PackageStageObserved proving through memo (with
+// Config.Equiv on): a package whose proof problem the memo already holds
+// reuses that certificate instead of being proved again, and counts
+// obs.EquivReusedCounter. The result is identical to PackageStageObserved's,
+// byte for byte; PackageSet.Reused reports how many proofs were reused.
+// One memo serves one program's successive repacks, which must not
+// overlap.
+func PackageStageReusing(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, o obs.Observer, memo *equiv.Memo) (*PackageSet, error) {
+	return packageStage(cfg, p, img, ra, o, memo)
+}
+
+func packageStage(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, o obs.Observer, memo *equiv.Memo) (*PackageSet, error) {
 	if h := ImageHash(img); h != ra.ProgramHash {
 		return nil, fmt.Errorf("core: package stage: regions of image %016x applied to image %016x: %w",
 			ra.ProgramHash, h, ErrStaleArtifact)
@@ -222,6 +237,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	// below still surface the live result: the partial set mirrors the
 	// monolith's Outcome.Pack being set before optimization could fail.
 	var certs []*equiv.Certificate
+	reused := 0
 	partial := func(err error) (*PackageSet, error) {
 		set := &PackageSet{Schema: PackageSetSchema, ProgramHash: ra.ProgramHash, res: res, packed: p}
 		set.SkippedPhases = skipped
@@ -280,13 +296,17 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 			return partial(fmt.Errorf("core: pass verification (%s): %w", pk.Fn.Name, err))
 		}
 		if cfg.Equiv {
-			cert, eerr := equiv.Prove(snaps[pk], equiv.Config{MaxPaths: cfg.EquivMaxPaths})
+			cert, hit, eerr := memo.Prove(snaps[pk], equiv.Config{MaxPaths: cfg.EquivMaxPaths})
 			if cert != nil {
 				certs = append(certs, cert)
 				rec.Equiv = certs
 				o.Count(obs.EquivPackagesCounter, 1)
 				o.Count(obs.EquivPathsProvedCounter, int64(cert.PathsProved))
 				o.Count(obs.EquivPathsFuzzedCounter, int64(cert.PathsFuzzed))
+			}
+			if hit {
+				reused++
+				o.Count(obs.EquivReusedCounter, 1)
 			}
 			if eerr != nil {
 				n := len(equiv.Counterexamples(eerr))
@@ -320,6 +340,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	set := newPackageSet(p, res, ra.hash(), ra.ProgramHash)
 	set.SkippedPhases = skipped
 	set.Equiv = certs
+	set.reused = reused
 	return set, nil
 }
 

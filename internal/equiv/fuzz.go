@@ -79,10 +79,21 @@ type cevent struct {
 	consumes []isa.Reg
 }
 
+// codeAddr is the concrete stand-in for a block's code address in a
+// differential run. It numbers blocks by the proof problem's canonical
+// numbering, not by block ID, so a fuzzed certificate depends only on the
+// problem's key.
+func (pv *prover) codeAddr(blk *prog.Block, raw int64) int64 {
+	if blk != nil {
+		return mix(7, int64(pv.num.index(blk)), 0)
+	}
+	return mix(7, raw, 1)
+}
+
 // cstep executes one non-terminator instruction with the machine's exact
 // semantics (integer ops via foldInt, FP via IEEE bits, FDIV by zero
 // yielding 0).
-func cstep(st *cstate, in prog.Ins) {
+func (pv *prover) cstep(st *cstate, in prog.Ins) {
 	if lop, ok := regImmLower(in.Op); ok {
 		st.set(in.Rd, foldInt(lop, st.get(in.Rs1), in.Imm))
 		return
@@ -92,7 +103,7 @@ func cstep(st *cstate, in prog.Ins) {
 	case isa.LI:
 		st.set(in.Rd, in.Imm)
 	case isa.LA:
-		st.set(in.Rd, codeAddrVal(in.BlockTarget, in.Target))
+		st.set(in.Rd, pv.codeAddr(in.BlockTarget, in.Target))
 	case isa.LD, isa.FLD:
 		st.set(in.Rd, st.load(st.get(in.Rs1)+in.Imm))
 	case isa.ST, isa.FST:
@@ -160,7 +171,7 @@ func (pv *prover) crun(entry *prog.Block, trial int, ref bool) ([]cevent, bool) 
 			v = liveView(b)
 		}
 		for _, in := range v.insts {
-			cstep(st, in)
+			pv.cstep(st, in)
 		}
 		var to *prog.Block
 		switch v.kind {
@@ -172,7 +183,7 @@ func (pv *prover) crun(entry *prog.Block, trial int, ref bool) ([]cevent, bool) 
 			return append(events, cevent{kind: evJr, jr: st.get(v.rs1), regs: st.regs, memSum: st.memSum()}), true
 		case prog.TermCall:
 			ev := cevent{kind: evCall, callee: v.callee, regs: st.regs, memSum: st.memSum()}
-			ev.regs[isa.RRA] = codeAddrVal(v.next, 0)
+			ev.regs[isa.RRA] = pv.codeAddr(v.next, 0)
 			events = append(events, ev)
 			for _, r := range allRegs {
 				st.regs[r] = mix(seed, 100+calls, int64(r))

@@ -3,6 +3,7 @@ package equiv
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -77,6 +78,7 @@ type Snapshot struct {
 	name    string
 	phase   int
 	blocks  map[*prog.Block]*blockSnap
+	order   []*prog.Block // the captured blocks, in fn.Blocks order
 	liveIn  map[*prog.Block]prog.RegSet
 	entries []*prog.Block
 }
@@ -115,6 +117,7 @@ func Capture(fn *prog.Func, entries []*prog.Block, entered map[*prog.Block]bool)
 		name:   fn.Name,
 		phase:  fn.PhaseID,
 		blocks: make(map[*prog.Block]*blockSnap, len(fn.Blocks)),
+		order:  append([]*prog.Block(nil), fn.Blocks...),
 	}
 	for _, b := range fn.Blocks {
 		s.blocks[b] = &blockSnap{
@@ -308,6 +311,7 @@ type event struct {
 type prover struct {
 	snap      *Snapshot
 	cfg       Config
+	num       *canon // problem-local block numbering (fuzz code addresses)
 	it        *interner
 	cert      *Certificate
 	ce        *Counterexample
@@ -335,7 +339,13 @@ func (pv *prover) entryState() symState {
 // the structured counterexample.
 func Prove(snap *Snapshot, cfg Config) (*Certificate, error) {
 	cfg = cfg.withDefaults()
-	pv := &prover{snap: snap, cfg: cfg, it: newInterner()}
+	return prove(snap, cfg, newCanon(snap, cfg, false, nil))
+}
+
+// prove runs one proof; cfg has its defaults applied and num is the
+// problem's canonical numbering.
+func prove(snap *Snapshot, cfg Config, num *canon) (*Certificate, error) {
+	pv := &prover{snap: snap, cfg: cfg, it: newInterner(), num: num}
 	pv.cert = &Certificate{Package: snap.name, Phase: snap.phase, Entries: len(snap.entries)}
 
 	for _, entry := range snap.entries {
@@ -369,10 +379,31 @@ type optWalker struct {
 	pv        *prover
 	entry     *prog.Block
 	onPath    map[*prog.Block]bool
-	trail     []string
+	trail     []step
 	events    []event
 	cons      map[*Term]bool
 	consOrder []*Term
+}
+
+// step is one block of the path being walked and the branch decision
+// taken there: '+' taken, '-' fallthrough, 0 unconditional.
+type step struct {
+	b     *prog.Block
+	sense byte
+}
+
+// renderPath spells a trail the way Counterexample.Path documents it.
+// Only a refutation needs it, so the walk itself formats nothing.
+func renderPath(trail []step) []string {
+	out := make([]string, len(trail))
+	for i, s := range trail {
+		str := "b" + strconv.Itoa(s.b.ID)
+		if s.sense != 0 {
+			str += string(s.sense)
+		}
+		out[i] = str
+	}
+	return out
 }
 
 // walk explores from b with state st; it returns false when exploration
@@ -390,7 +421,7 @@ func (w *optWalker) walk(b *prog.Block, st symState, calls int) bool {
 func (w *optWalker) walkBlock(b *prog.Block, st symState, calls int) bool {
 	pv := w.pv
 	it := pv.it
-	w.trail = append(w.trail, fmt.Sprintf("b%d", b.ID))
+	w.trail = append(w.trail, step{b: b})
 	v := liveView(b)
 	for _, in := range v.insts {
 		stepIns(it, &st, in)
@@ -413,34 +444,34 @@ func (w *optWalker) walkBlock(b *prog.Block, st symState, calls int) bool {
 		return w.transition(v.next, v, st, calls)
 	case prog.TermBranch:
 		pred, tif := canonBranch(it, &st, v)
+		at := len(w.trail) - 1
 		if pred.kind == kConst {
-			to, suffix := v.next, "-"
+			to, sense := v.next, byte('-')
 			if (pred == it.one) == tif {
-				to, suffix = v.taken, "+"
+				to, sense = v.taken, '+'
 			}
-			w.trail[len(w.trail)-1] += suffix
+			w.trail[at].sense = sense
 			return w.transition(to, v, st, calls)
 		}
 		if hold, decided := w.cons[pred]; decided {
-			to, suffix := v.next, "-"
+			to, sense := v.next, byte('-')
 			if hold == tif {
-				to, suffix = v.taken, "+"
+				to, sense = v.taken, '+'
 			}
-			w.trail[len(w.trail)-1] += suffix
+			w.trail[at].sense = sense
 			return w.transition(to, v, st, calls)
 		}
 		// Fork: taken side first, then fallthrough.
-		base := w.trail[len(w.trail)-1]
 		w.cons[pred] = tif
 		w.consOrder = append(w.consOrder, pred)
-		w.trail[len(w.trail)-1] = base + "+"
+		w.trail[at].sense = '+'
 		if !w.transition(v.taken, v, st, calls) {
 			delete(w.cons, pred)
 			w.consOrder = w.consOrder[:len(w.consOrder)-1]
 			return false
 		}
 		w.cons[pred] = !tif
-		w.trail[len(w.trail)-1] = base + "-"
+		w.trail[at].sense = '-'
 		ok := w.transition(v.next, v, st, calls)
 		delete(w.cons, pred)
 		w.consOrder = w.consOrder[:len(w.consOrder)-1]
@@ -484,7 +515,7 @@ func (w *optWalker) finish(terminal event) bool {
 	if ce != nil {
 		ce.Package = pv.snap.name
 		ce.Entry = w.entry.String()
-		ce.Path = append([]string(nil), w.trail...)
+		ce.Path = renderPath(w.trail)
 		pv.attachWitness(ce, w.consOrder, w.cons)
 		pv.ce = ce
 		return false
@@ -771,14 +802,11 @@ func (pv *prover) compare(ref, opt []event) *Counterexample {
 					RefTerm: re.target.String(), OptTerm: oe.target.String(),
 					Detail: fmt.Sprintf("loop cut %d revisits different blocks", i)}
 			}
-			var live []isa.Reg
+			live := pv.snap.liveIn[re.target]
 			for _, r := range allRegs {
-				if pv.snap.liveIn[re.target].Has(r) {
-					live = append(live, r)
+				if live.Has(r) && re.regs[r] != oe.regs[r] {
+					return regDiverges(re, oe, r, i)
 				}
-			}
-			if ce := cmpRegs(re, oe, live, i); ce != nil {
-				return ce
 			}
 			if ce := cmpMem(re, oe, i); ce != nil {
 				return ce
@@ -802,13 +830,17 @@ func cmpRegs(re, oe *event, live []isa.Reg, i int) *Counterexample {
 			continue
 		}
 		if re.regs[r] != oe.regs[r] {
-			return &Counterexample{Kind: "reg", Reg: r.String(),
-				RefTerm: re.regs[r].String(), OptTerm: oe.regs[r].String(),
-				refT: re.regs[r], optT: oe.regs[r],
-				Detail: fmt.Sprintf("live-out register diverges at %s event %d", re.kind, i)}
+			return regDiverges(re, oe, r, i)
 		}
 	}
 	return nil
+}
+
+func regDiverges(re, oe *event, r isa.Reg, i int) *Counterexample {
+	return &Counterexample{Kind: "reg", Reg: r.String(),
+		RefTerm: re.regs[r].String(), OptTerm: oe.regs[r].String(),
+		refT: re.regs[r], optT: oe.regs[r],
+		Detail: fmt.Sprintf("live-out register diverges at %s event %d", re.kind, i)}
 }
 
 func cmpMem(re, oe *event, i int) *Counterexample {

@@ -105,8 +105,10 @@ func (ev *termEval) evalLoad(chain *Term, addr int64) int64 {
 	return mix(5, 0, addr)
 }
 
-// codeAddrVal is the concrete stand-in for a block's code address, shared
-// by the term evaluator and the differential executor.
+// codeAddrVal is the term evaluator's concrete stand-in for a block's
+// code address. Witnesses are only built for refutations, which are never
+// reused, so it may number blocks by ID (the fuzz fallback, whose
+// certificates are reused, uses prover.codeAddr).
 func codeAddrVal(blk *prog.Block, raw int64) int64 {
 	if blk != nil {
 		return mix(7, int64(blk.ID), 0)

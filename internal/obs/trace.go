@@ -199,12 +199,14 @@ func StoreGauges() []string {
 // Canonical metric names for the translation-validation engine
 // (internal/equiv, gated by the -equiv config knob): packages checked,
 // paths proved symbolically, differential trials run past the path
-// budget, and refutations.
+// budget, refutations, and certificates reused from a proof memo instead
+// of proved (paths_proved still counts a reused certificate's paths).
 const (
 	EquivPackagesCounter    = "equiv.packages"
 	EquivPathsProvedCounter = "equiv.paths_proved"
 	EquivPathsFuzzedCounter = "equiv.paths_fuzzed"
 	EquivViolationsCounter  = "equiv.violations"
+	EquivReusedCounter      = "equiv.reused"
 )
 
 // EquivCounters lists the translation-validation counter names the
@@ -214,6 +216,7 @@ func EquivCounters() []string {
 	return []string{
 		EquivPackagesCounter, EquivPathsProvedCounter,
 		EquivPathsFuzzedCounter, EquivViolationsCounter,
+		EquivReusedCounter,
 	}
 }
 

@@ -45,6 +45,14 @@ go test -run '^$' -bench 'BenchmarkPackageStageDaemon' \
   -benchtime "$BENCHTIME" ./internal/core/
 
 echo
+echo "== the same repack's successor, reusing its proofs (internal/core) =="
+# vpr's second repack (25 more shifted records) proving through the first
+# repack's equiv.Memo, as vpackd does: every proof is reused, so this is
+# the package stage without Prove.
+go test -run '^$' -bench 'BenchmarkRepackReuseDaemon' \
+  -benchtime "$BENCHTIME" ./internal/core/
+
+echo
 echo "== full suite wall time (scale 1, default -j) + verifier/equiv overhead =="
 # -verifyoverhead re-runs the suite with the static verifier gating every
 # stage and records verify_wall_seconds / verify_overhead_fraction in the
