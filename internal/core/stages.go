@@ -46,7 +46,8 @@ func ProfileStage(cfg Config, img *prog.Image, base *cpu.TimingStats) (*ProfileA
 // software-filtered (redundant) detection a PhaseFiltered event, and the
 // profile.* counters summarize the run. It is DetectHotSpots feeding the
 // software filter (behind the §3.1 history filter when
-// cfg.HistoryDepth > 0).
+// cfg.HistoryDepth > 0). o must be non-nil; pass obs.Nop{} to observe
+// nothing.
 func ProfileStageObserved(cfg Config, mc cpu.Config, img *prog.Image, base *cpu.TimingStats, o obs.Observer) (*ProfileArtifact, error) {
 	sp := o.StartSpan(obs.StageProfile)
 	db := phasedb.New(cfg.Filter)
@@ -99,7 +100,7 @@ func RegionStage(cfg Config, img *prog.Image, pa *ProfileArtifact) (*RegionArtif
 
 // RegionStageObserved is RegionStage reporting to an observer: the filter
 // and region stage spans, PhaseSkipped events and the filter.*/region.*
-// counters.
+// counters. o must be non-nil; pass obs.Nop{} to observe nothing.
 func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs.Observer) (*RegionArtifact, error) {
 	if h := ImageHash(img); h != pa.ProgramHash {
 		return nil, fmt.Errorf("core: region stage: profile of image %016x applied to image %016x: %w",
@@ -169,6 +170,7 @@ func PackageStage(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifa
 // PackageStageObserved is PackageStage reporting to an observer: the
 // package and optimize stage spans, per-package events from construction
 // and linking, and PhaseSkipped events for regions that built no package.
+// o must be non-nil; pass obs.Nop{} to observe nothing.
 func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, o obs.Observer) (*PackageSet, error) {
 	return packageStage(cfg, p, img, ra, o, nil)
 }
@@ -179,7 +181,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 // obs.EquivReusedCounter. The result is identical to PackageStageObserved's,
 // byte for byte; PackageSet.Reused reports how many proofs were reused.
 // One memo serves one program's successive repacks, which must not
-// overlap.
+// overlap. o must be non-nil; pass obs.Nop{} to observe nothing.
 func PackageStageReusing(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, o obs.Observer, memo *equiv.Memo) (*PackageSet, error) {
 	return packageStage(cfg, p, img, ra, o, memo)
 }

@@ -58,6 +58,25 @@ func BenchmarkMachineRunTimed(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// BenchmarkTimedTier0 measures the block-structured timed loop with
+// superblocks off: every dispatch runs through tier 0's execBlock.
+func BenchmarkTimedTier0(b *testing.B) {
+	img := benchImage(b)
+	cfg := DefaultConfig()
+	cfg.DisableSuperblocks = true
+	b.ResetTimer()
+	var total uint64
+	for i := 0; i < b.N; i++ {
+		stats, _, err := RunTimed(cfg, img, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += stats.Insts
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
+}
+
 // BenchmarkTimedBlock measures the block-structured timed path with a
 // shared block cache — the steady state of repeated suite evaluations:
 // every dispatch after the first run is a hit or a chained transition.

@@ -307,8 +307,9 @@ func (t *timing) blockFault(m *Machine, b *block, j int, err error) error {
 
 // execBlock retires every instruction of b — functional execution and
 // cycle accounting fused in one pass — and returns the next PC. It is the
-// batched equivalent of Machine.exec + timing.observe per slot; any
-// semantic change here must be mirrored there (and vice versa), which
+// batched equivalent of Machine.exec + timing.observe per slot. ALU, FP
+// and branch results come from internal/isa; a change to memory, control
+// transfer or timing here must be mirrored there (and vice versa), which
 // TestBlockCacheEquivalence enforces over the whole workload suite.
 func (t *timing) execBlock(m *Machine, b *block) (int64, error) {
 	insts := b.insts
@@ -367,55 +368,11 @@ func (t *timing) execBlock(m *Machine, b *block) (int64, error) {
 		lat := int(si.lat)
 		switch in.Op {
 		case isa.NOP:
-		case isa.ADD:
-			m.seti(in.Rd, m.geti(in.Rs1)+m.geti(in.Rs2))
-		case isa.SUB:
-			m.seti(in.Rd, m.geti(in.Rs1)-m.geti(in.Rs2))
-		case isa.MUL:
-			m.seti(in.Rd, m.geti(in.Rs1)*m.geti(in.Rs2))
-		case isa.DIV:
-			if d := m.geti(in.Rs2); d != 0 {
-				m.seti(in.Rd, m.geti(in.Rs1)/d)
-			} else {
-				m.seti(in.Rd, 0)
-			}
-		case isa.REM:
-			if d := m.geti(in.Rs2); d != 0 {
-				m.seti(in.Rd, m.geti(in.Rs1)%d)
-			} else {
-				m.seti(in.Rd, 0)
-			}
-		case isa.AND:
-			m.seti(in.Rd, m.geti(in.Rs1)&m.geti(in.Rs2))
-		case isa.OR:
-			m.seti(in.Rd, m.geti(in.Rs1)|m.geti(in.Rs2))
-		case isa.XOR:
-			m.seti(in.Rd, m.geti(in.Rs1)^m.geti(in.Rs2))
-		case isa.SHL:
-			m.seti(in.Rd, m.geti(in.Rs1)<<uint(m.geti(in.Rs2)&63))
-		case isa.SHR:
-			m.seti(in.Rd, int64(uint64(m.geti(in.Rs1))>>uint(m.geti(in.Rs2)&63)))
-		case isa.SLT:
-			m.seti(in.Rd, b2i(m.geti(in.Rs1) < m.geti(in.Rs2)))
-		case isa.SEQ:
-			m.seti(in.Rd, b2i(m.geti(in.Rs1) == m.geti(in.Rs2)))
-
-		case isa.ADDI:
-			m.seti(in.Rd, m.geti(in.Rs1)+in.Imm)
-		case isa.MULI:
-			m.seti(in.Rd, m.geti(in.Rs1)*in.Imm)
-		case isa.ANDI:
-			m.seti(in.Rd, m.geti(in.Rs1)&in.Imm)
-		case isa.ORI:
-			m.seti(in.Rd, m.geti(in.Rs1)|in.Imm)
-		case isa.XORI:
-			m.seti(in.Rd, m.geti(in.Rs1)^in.Imm)
-		case isa.SHLI:
-			m.seti(in.Rd, m.geti(in.Rs1)<<uint(in.Imm&63))
-		case isa.SHRI:
-			m.seti(in.Rd, int64(uint64(m.geti(in.Rs1))>>uint(in.Imm&63)))
-		case isa.SLTI:
-			m.seti(in.Rd, b2i(m.geti(in.Rs1) < in.Imm))
+		case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR,
+			isa.XOR, isa.SHL, isa.SHR, isa.SLT, isa.SEQ:
+			m.seti(in.Rd, isa.EvalInt(in.Op, m.geti(in.Rs1), m.geti(in.Rs2)))
+		case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI, isa.SLTI:
+			m.seti(in.Rd, isa.EvalInt(in.Op, m.geti(in.Rs1), in.Imm))
 		case isa.LI:
 			m.seti(in.Rd, in.Imm)
 
@@ -435,20 +392,10 @@ func (t *timing) execBlock(m *Machine, b *block) (int64, error) {
 			m.hashStore(addr, m.geti(in.Rs2))
 			t.dLatency(addr) // stores touch the cache; latency hidden
 
-		case isa.FADD:
-			m.setf(in.Rd, m.getf(in.Rs1)+m.getf(in.Rs2))
-		case isa.FSUB:
-			m.setf(in.Rd, m.getf(in.Rs1)-m.getf(in.Rs2))
-		case isa.FMUL:
-			m.setf(in.Rd, m.getf(in.Rs1)*m.getf(in.Rs2))
-		case isa.FDIV:
-			if d := m.getf(in.Rs2); d != 0 {
-				m.setf(in.Rd, m.getf(in.Rs1)/d)
-			} else {
-				m.setf(in.Rd, 0)
-			}
+		case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
+			m.setf(in.Rd, isa.EvalFP(in.Op, m.getf(in.Rs1), m.getf(in.Rs2)))
 		case isa.FSLT:
-			m.seti(in.Rd, b2i(m.getf(in.Rs1) < m.getf(in.Rs2)))
+			m.seti(in.Rd, isa.FSlt(m.getf(in.Rs1), m.getf(in.Rs2)))
 		case isa.FCVTIF:
 			m.setf(in.Rd, float64(m.geti(in.Rs1)))
 		case isa.FCVTFI:
@@ -526,20 +473,11 @@ func (t *timing) execBlock(m *Machine, b *block) (int64, error) {
 		issue := t.cycle
 
 		taken := false
-		condBranch := false
 		switch op {
-		case isa.BEQ:
-			condBranch = true
-			taken = m.geti(in.Rs1) == m.geti(in.Rs2)
-		case isa.BNE:
-			condBranch = true
-			taken = m.geti(in.Rs1) != m.geti(in.Rs2)
-		case isa.BLT:
-			condBranch = true
-			taken = m.geti(in.Rs1) < m.geti(in.Rs2)
-		case isa.BGE:
-			condBranch = true
-			taken = m.geti(in.Rs1) >= m.geti(in.Rs2)
+		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
+			if taken = isa.Taken(op, m.geti(in.Rs1), m.geti(in.Rs2)); taken {
+				next = in.Target
+			}
 		case isa.JMP:
 			taken = true
 			next = in.Target
@@ -558,10 +496,6 @@ func (t *timing) execBlock(m *Machine, b *block) (int64, error) {
 		default:
 			return 0, t.blockFault(m, b, j, fmt.Errorf("cpu: pc %d: invalid opcode %v", pc, op))
 		}
-		if condBranch && taken {
-			next = in.Target
-		}
-
 		if op == isa.CALL {
 			// CALL implicitly defines RRA.
 			if ready := issue + uint64(si.lat); t.regReady[isa.RRA] < ready {

@@ -165,55 +165,11 @@ func (m *Machine) exec(in isa.Inst, info *StepInfo) error {
 
 	switch in.Op {
 	case isa.NOP:
-	case isa.ADD:
-		m.seti(in.Rd, m.geti(in.Rs1)+m.geti(in.Rs2))
-	case isa.SUB:
-		m.seti(in.Rd, m.geti(in.Rs1)-m.geti(in.Rs2))
-	case isa.MUL:
-		m.seti(in.Rd, m.geti(in.Rs1)*m.geti(in.Rs2))
-	case isa.DIV:
-		if d := m.geti(in.Rs2); d != 0 {
-			m.seti(in.Rd, m.geti(in.Rs1)/d)
-		} else {
-			m.seti(in.Rd, 0)
-		}
-	case isa.REM:
-		if d := m.geti(in.Rs2); d != 0 {
-			m.seti(in.Rd, m.geti(in.Rs1)%d)
-		} else {
-			m.seti(in.Rd, 0)
-		}
-	case isa.AND:
-		m.seti(in.Rd, m.geti(in.Rs1)&m.geti(in.Rs2))
-	case isa.OR:
-		m.seti(in.Rd, m.geti(in.Rs1)|m.geti(in.Rs2))
-	case isa.XOR:
-		m.seti(in.Rd, m.geti(in.Rs1)^m.geti(in.Rs2))
-	case isa.SHL:
-		m.seti(in.Rd, m.geti(in.Rs1)<<uint(m.geti(in.Rs2)&63))
-	case isa.SHR:
-		m.seti(in.Rd, int64(uint64(m.geti(in.Rs1))>>uint(m.geti(in.Rs2)&63)))
-	case isa.SLT:
-		m.seti(in.Rd, b2i(m.geti(in.Rs1) < m.geti(in.Rs2)))
-	case isa.SEQ:
-		m.seti(in.Rd, b2i(m.geti(in.Rs1) == m.geti(in.Rs2)))
-
-	case isa.ADDI:
-		m.seti(in.Rd, m.geti(in.Rs1)+in.Imm)
-	case isa.MULI:
-		m.seti(in.Rd, m.geti(in.Rs1)*in.Imm)
-	case isa.ANDI:
-		m.seti(in.Rd, m.geti(in.Rs1)&in.Imm)
-	case isa.ORI:
-		m.seti(in.Rd, m.geti(in.Rs1)|in.Imm)
-	case isa.XORI:
-		m.seti(in.Rd, m.geti(in.Rs1)^in.Imm)
-	case isa.SHLI:
-		m.seti(in.Rd, m.geti(in.Rs1)<<uint(in.Imm&63))
-	case isa.SHRI:
-		m.seti(in.Rd, int64(uint64(m.geti(in.Rs1))>>uint(in.Imm&63)))
-	case isa.SLTI:
-		m.seti(in.Rd, b2i(m.geti(in.Rs1) < in.Imm))
+	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR,
+		isa.XOR, isa.SHL, isa.SHR, isa.SLT, isa.SEQ:
+		m.seti(in.Rd, isa.EvalInt(in.Op, m.geti(in.Rs1), m.geti(in.Rs2)))
+	case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI, isa.SLTI:
+		m.seti(in.Rd, isa.EvalInt(in.Op, m.geti(in.Rs1), in.Imm))
 	case isa.LI:
 		m.seti(in.Rd, in.Imm)
 
@@ -231,20 +187,10 @@ func (m *Machine) exec(in isa.Inst, info *StepInfo) error {
 		}
 		m.hashStore(memAddr, m.geti(in.Rs2))
 
-	case isa.FADD:
-		m.setf(in.Rd, m.getf(in.Rs1)+m.getf(in.Rs2))
-	case isa.FSUB:
-		m.setf(in.Rd, m.getf(in.Rs1)-m.getf(in.Rs2))
-	case isa.FMUL:
-		m.setf(in.Rd, m.getf(in.Rs1)*m.getf(in.Rs2))
-	case isa.FDIV:
-		if d := m.getf(in.Rs2); d != 0 {
-			m.setf(in.Rd, m.getf(in.Rs1)/d)
-		} else {
-			m.setf(in.Rd, 0)
-		}
+	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
+		m.setf(in.Rd, isa.EvalFP(in.Op, m.getf(in.Rs1), m.getf(in.Rs2)))
 	case isa.FSLT:
-		m.seti(in.Rd, b2i(m.getf(in.Rs1) < m.getf(in.Rs2)))
+		m.seti(in.Rd, isa.FSlt(m.getf(in.Rs1), m.getf(in.Rs2)))
 	case isa.FCVTIF:
 		m.setf(in.Rd, float64(m.geti(in.Rs1)))
 	case isa.FCVTFI:
@@ -264,14 +210,10 @@ func (m *Machine) exec(in isa.Inst, info *StepInfo) error {
 		}
 		m.hashStore(memAddr, bits)
 
-	case isa.BEQ:
-		taken = m.geti(in.Rs1) == m.geti(in.Rs2)
-	case isa.BNE:
-		taken = m.geti(in.Rs1) != m.geti(in.Rs2)
-	case isa.BLT:
-		taken = m.geti(in.Rs1) < m.geti(in.Rs2)
-	case isa.BGE:
-		taken = m.geti(in.Rs1) >= m.geti(in.Rs2)
+	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
+		if taken = isa.Taken(in.Op, m.geti(in.Rs1), m.geti(in.Rs2)); taken {
+			next = in.Target
+		}
 	case isa.JMP:
 		taken = true
 		next = in.Target
@@ -292,9 +234,6 @@ func (m *Machine) exec(in isa.Inst, info *StepInfo) error {
 	default:
 		return fmt.Errorf("cpu: pc %d: invalid opcode %v", m.PC, in.Op)
 	}
-	if isa.Meta[in.Op].IsCondBranch && taken {
-		next = in.Target
-	}
 
 	info.PC = m.PC
 	info.Inst = in
@@ -304,13 +243,6 @@ func (m *Machine) exec(in isa.Inst, info *StepInfo) error {
 	m.PC = next
 	m.InstCount++
 	return nil
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Run executes until halt or until limit instructions have retired (0 means

@@ -18,8 +18,12 @@ type branchStream struct {
 }
 
 func (s *branchStream) add(pc int64, taken bool, insts uint64) {
+	var bit uint64
+	if taken {
+		bit = 1
+	}
 	h := mix64(s.hash ^ uint64(pc))
-	h = mix64(h ^ uint64(b2i(taken)))
+	h = mix64(h ^ bit)
 	s.hash = mix64(h ^ insts)
 	s.n++
 }

@@ -14,9 +14,10 @@ package cpu
 // its observed majority successors (fall/taken bias counters maintained
 // by the dispatch loop), flattened into one specialized slot array. Each
 // slot carries everything execution needs, pre-resolved at promotion
-// time: direct register-file indices (register classes validated once,
-// so the executor indexes IntRegs/FPRegs with a mask instead of accessor
-// calls and bounds checks), the packed issue-state masks for its FU
+// time: direct register-file indices (every image satisfies
+// isa.Inst.CheckOperands, so the executor indexes IntRegs/FPRegs with a
+// mask instead of accessor calls and bounds checks), the packed
+// issue-state masks for its FU
 // class, its latency, and static I-line crossing marks (inside a trace
 // every line boundary is known at build time; only trace entry compares
 // lines dynamically). Conditional terminators inside the trace become
@@ -32,8 +33,8 @@ package cpu
 // pointer tier 0 would have taken, so it counts as Chained, and every
 // side exit re-enters the dispatch switch exactly where tier 0 would
 // have. Promotion only specializes instructions whose semantics it can
-// reproduce exactly; anything else (cross-class register operands,
-// discarded loads, invalid opcodes) pins the block to tier 0 with noSB.
+// reproduce exactly; a load into R0 (whose result the trace's load body
+// would write to R0) pins the block to tier 0 with noSB.
 //
 // Invalidation: superblocks hang off their head block, so Bind/
 // Invalidate dropping the decoded blocks drops every trace with them.
@@ -149,9 +150,6 @@ type superblock struct {
 	earlyExits uint64 // side exits at the first guard
 }
 
-// intReg reports whether r names an integer register (R0 included).
-func intReg(r isa.Reg) bool { return r < isa.NumIntRegs }
-
 // promote builds a superblock headed by b, or pins b to tier 0 (noSB)
 // when any instruction on the trace resists specialization. The trace
 // follows the successor with the larger observed bias at each stitched
@@ -250,9 +248,9 @@ func (bc *BlockCache) promote(b *block) *superblock {
 }
 
 // specializeSlot translates one decoded instruction into its specialized
-// slot, validating register classes so the executor can index the
-// register files directly. It reports false when the instruction's exact
-// semantics need the generic path (tier 0 then keeps the block).
+// slot. A result written to R0 is discarded, so the slot keeps only its
+// timing. It reports false when the instruction's exact semantics need
+// the generic path (tier 0 then keeps the block).
 func specializeSlot(in *isa.Inst, si slotInfo, pc int64, isTerm bool) (sslot, bool) {
 	s := sslot{
 		kind: uint8(in.Op), lat: si.lat, flags: si.flags,
@@ -260,103 +258,23 @@ func specializeSlot(in *isa.Inst, si slotInfo, pc int64, isTerm bool) (sslot, bo
 		need: issueNeed(si.fu), hi: issueHigh(si.fu),
 		imm: in.Imm, pc: pc,
 	}
+	if in.Op.HasTarget() {
+		s.imm = in.Target
+	}
 	if isTerm {
-		switch in.Op {
-		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-			if !intReg(in.Rs1) || !intReg(in.Rs2) {
-				return s, false
-			}
-			s.imm = in.Target
-		case isa.JMP, isa.CALL:
-			s.imm = in.Target
-		case isa.RET:
+		if in.Op == isa.RET {
 			// Tier 0 folds the implicit RRA read into operand readiness.
 			s.rs1 = uint8(isa.RRA)
 			s.flags |= slotNeedRs1
-		case isa.JR:
-			if !intReg(in.Rs1) {
-				return s, false
-			}
-		case isa.HALT:
-		default:
-			return s, false
 		}
 		s.flags |= slotCtl
 		return s, true
 	}
-	switch in.Op {
-	case isa.NOP:
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM,
-		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SLT, isa.SEQ:
-		if !intReg(in.Rs1) || !intReg(in.Rs2) || !intReg(in.Rd) {
+	if in.Op.HasRd() && in.Rd == isa.R0 {
+		if in.Op == isa.LD {
 			return s, false
 		}
-		if in.Rd == isa.R0 {
-			s.kind = uint8(isa.NOP) // discarded result: timing only
-		}
-	case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI,
-		isa.SHLI, isa.SHRI, isa.SLTI:
-		if !intReg(in.Rs1) || !intReg(in.Rd) {
-			return s, false
-		}
-		if in.Rd == isa.R0 {
-			s.kind = uint8(isa.NOP)
-		}
-	case isa.LI:
-		if !intReg(in.Rd) {
-			return s, false
-		}
-		if in.Rd == isa.R0 {
-			s.kind = uint8(isa.NOP)
-		}
-	case isa.LD:
-		if !intReg(in.Rs1) || !intReg(in.Rd) || in.Rd == isa.R0 {
-			return s, false
-		}
-	case isa.ST:
-		if !intReg(in.Rs1) || !intReg(in.Rs2) {
-			return s, false
-		}
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		if !in.Rs1.IsFP() || !in.Rs2.IsFP() || !in.Rd.IsFP() {
-			return s, false
-		}
-	case isa.FSLT:
-		if !in.Rs1.IsFP() || !in.Rs2.IsFP() || !intReg(in.Rd) {
-			return s, false
-		}
-		if in.Rd == isa.R0 {
-			s.kind = uint8(isa.NOP)
-		}
-	case isa.FCVTIF:
-		if !intReg(in.Rs1) || !in.Rd.IsFP() {
-			return s, false
-		}
-	case isa.FCVTFI:
-		if !in.Rs1.IsFP() || !intReg(in.Rd) {
-			return s, false
-		}
-		if in.Rd == isa.R0 {
-			s.kind = uint8(isa.NOP)
-		}
-	case isa.FLD:
-		if !intReg(in.Rs1) || !in.Rd.IsFP() {
-			return s, false
-		}
-	case isa.FST:
-		if !intReg(in.Rs1) || !in.Rs2.IsFP() {
-			return s, false
-		}
-	case isa.LA:
-		if !intReg(in.Rd) {
-			return s, false
-		}
-		if in.Rd == isa.R0 {
-			s.kind = uint8(isa.NOP)
-		}
-		s.imm = in.Target
-	default:
-		return s, false
+		s.kind = uint8(isa.NOP) // discarded result: timing only
 	}
 	return s, true
 }
@@ -447,16 +365,16 @@ func (t *timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 			switch op {
 			case isa.BEQ:
 				condBranch = true
-				taken = m.IntRegs[s.rs1&31] == m.IntRegs[s.rs2&31]
+				taken = isa.Taken(isa.BEQ, m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 			case isa.BNE:
 				condBranch = true
-				taken = m.IntRegs[s.rs1&31] != m.IntRegs[s.rs2&31]
+				taken = isa.Taken(isa.BNE, m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 			case isa.BLT:
 				condBranch = true
-				taken = m.IntRegs[s.rs1&31] < m.IntRegs[s.rs2&31]
+				taken = isa.Taken(isa.BLT, m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 			case isa.BGE:
 				condBranch = true
-				taken = m.IntRegs[s.rs1&31] >= m.IntRegs[s.rs2&31]
+				taken = isa.Taken(isa.BGE, m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 			case isa.JMP:
 				taken = true
 				next = s.imm
@@ -588,17 +506,9 @@ func (t *timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 		case isa.MUL:
 			m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] * m.IntRegs[s.rs2&31]
 		case isa.DIV:
-			if d := m.IntRegs[s.rs2&31]; d != 0 {
-				m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] / d
-			} else {
-				m.IntRegs[s.rd&31] = 0
-			}
+			m.IntRegs[s.rd&31] = isa.Div(m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 		case isa.REM:
-			if d := m.IntRegs[s.rs2&31]; d != 0 {
-				m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] % d
-			} else {
-				m.IntRegs[s.rd&31] = 0
-			}
+			m.IntRegs[s.rd&31] = isa.Rem(m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 		case isa.AND:
 			m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] & m.IntRegs[s.rs2&31]
 		case isa.OR:
@@ -606,13 +516,13 @@ func (t *timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 		case isa.XOR:
 			m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] ^ m.IntRegs[s.rs2&31]
 		case isa.SHL:
-			m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] << uint(m.IntRegs[s.rs2&31]&63)
+			m.IntRegs[s.rd&31] = isa.Shl(m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 		case isa.SHR:
-			m.IntRegs[s.rd&31] = int64(uint64(m.IntRegs[s.rs1&31]) >> uint(m.IntRegs[s.rs2&31]&63))
+			m.IntRegs[s.rd&31] = isa.Shr(m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 		case isa.SLT:
-			m.IntRegs[s.rd&31] = b2i(m.IntRegs[s.rs1&31] < m.IntRegs[s.rs2&31])
+			m.IntRegs[s.rd&31] = isa.Slt(m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 		case isa.SEQ:
-			m.IntRegs[s.rd&31] = b2i(m.IntRegs[s.rs1&31] == m.IntRegs[s.rs2&31])
+			m.IntRegs[s.rd&31] = isa.Seq(m.IntRegs[s.rs1&31], m.IntRegs[s.rs2&31])
 
 		case isa.ADDI:
 			m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] + s.imm
@@ -625,11 +535,11 @@ func (t *timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 		case isa.XORI:
 			m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] ^ s.imm
 		case isa.SHLI:
-			m.IntRegs[s.rd&31] = m.IntRegs[s.rs1&31] << uint(s.imm&63)
+			m.IntRegs[s.rd&31] = isa.Shl(m.IntRegs[s.rs1&31], s.imm)
 		case isa.SHRI:
-			m.IntRegs[s.rd&31] = int64(uint64(m.IntRegs[s.rs1&31]) >> uint(s.imm&63))
+			m.IntRegs[s.rd&31] = isa.Shr(m.IntRegs[s.rs1&31], s.imm)
 		case isa.SLTI:
-			m.IntRegs[s.rd&31] = b2i(m.IntRegs[s.rs1&31] < s.imm)
+			m.IntRegs[s.rd&31] = isa.Slt(m.IntRegs[s.rs1&31], s.imm)
 		case isa.LI:
 			m.IntRegs[s.rd&31] = s.imm
 
@@ -692,13 +602,9 @@ func (t *timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 		case isa.FMUL:
 			m.FPRegs[(s.rd-32)&15] = m.FPRegs[(s.rs1-32)&15] * m.FPRegs[(s.rs2-32)&15]
 		case isa.FDIV:
-			if d := m.FPRegs[(s.rs2-32)&15]; d != 0 {
-				m.FPRegs[(s.rd-32)&15] = m.FPRegs[(s.rs1-32)&15] / d
-			} else {
-				m.FPRegs[(s.rd-32)&15] = 0
-			}
+			m.FPRegs[(s.rd-32)&15] = isa.FDiv(m.FPRegs[(s.rs1-32)&15], m.FPRegs[(s.rs2-32)&15])
 		case isa.FSLT:
-			m.IntRegs[s.rd&31] = b2i(m.FPRegs[(s.rs1-32)&15] < m.FPRegs[(s.rs2-32)&15])
+			m.IntRegs[s.rd&31] = isa.FSlt(m.FPRegs[(s.rs1-32)&15], m.FPRegs[(s.rs2-32)&15])
 		case isa.FCVTIF:
 			m.FPRegs[(s.rd-32)&15] = float64(m.IntRegs[s.rs1&31])
 		case isa.FCVTFI:

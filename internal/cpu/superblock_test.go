@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -55,8 +56,12 @@ func timedTriple(t *testing.T, img *prog.Image, thresh int) *BlockCache {
 		if pair.m.IntRegs != mLegacy.IntRegs {
 			t.Errorf("%s integer register file diverged from legacy", pair.name)
 		}
-		if pair.m.FPRegs != mLegacy.FPRegs {
-			t.Errorf("%s FP register file diverged from legacy", pair.name)
+		for i, f := range pair.m.FPRegs {
+			// Bitwise, so NaNs and signed zeros compare exactly.
+			if math.Float64bits(f) != math.Float64bits(mLegacy.FPRegs[i]) {
+				t.Errorf("%s FP register file diverged from legacy", pair.name)
+				break
+			}
 		}
 		h, n := pair.m.DataHash()
 		hl, nl := mLegacy.DataHash()

@@ -37,6 +37,9 @@ func (st *cstate) get(r isa.Reg) int64 {
 	return st.regs[r]
 }
 
+// getf reads r as an FP value held as its IEEE bits.
+func (st *cstate) getf(r isa.Reg) float64 { return math.Float64frombits(uint64(st.get(r))) }
+
 func (st *cstate) set(r isa.Reg, v int64) {
 	if r == isa.R0 || !r.Valid() {
 		return
@@ -91,13 +94,8 @@ func (pv *prover) codeAddr(blk *prog.Block, raw int64) int64 {
 }
 
 // cstep executes one non-terminator instruction with the machine's exact
-// semantics (integer ops via foldInt, FP via IEEE bits, FDIV by zero
-// yielding 0).
+// semantics from internal/isa, FP values held as their IEEE bits.
 func (pv *prover) cstep(st *cstate, in prog.Ins) {
-	if lop, ok := regImmLower(in.Op); ok {
-		st.set(in.Rd, foldInt(lop, st.get(in.Rs1), in.Imm))
-		return
-	}
 	switch in.Op {
 	case isa.NOP:
 	case isa.LI:
@@ -109,37 +107,21 @@ func (pv *prover) cstep(st *cstate, in prog.Ins) {
 	case isa.ST, isa.FST:
 		st.store(st.get(in.Rs1)+in.Imm, st.get(in.Rs2))
 	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		a := math.Float64frombits(uint64(st.get(in.Rs1)))
-		b := math.Float64frombits(uint64(st.get(in.Rs2)))
-		var r float64
-		switch in.Op {
-		case isa.FADD:
-			r = a + b
-		case isa.FSUB:
-			r = a - b
-		case isa.FMUL:
-			r = a * b
-		case isa.FDIV:
-			if b != 0 {
-				r = a / b
-			}
-		}
+		r := isa.EvalFP(in.Op, st.getf(in.Rs1), st.getf(in.Rs2))
 		st.set(in.Rd, int64(math.Float64bits(r)))
 	case isa.FSLT:
-		a := math.Float64frombits(uint64(st.get(in.Rs1)))
-		b := math.Float64frombits(uint64(st.get(in.Rs2)))
-		if a < b {
-			st.set(in.Rd, 1)
-		} else {
-			st.set(in.Rd, 0)
-		}
+		st.set(in.Rd, isa.FSlt(st.getf(in.Rs1), st.getf(in.Rs2)))
 	case isa.FCVTIF:
 		st.set(in.Rd, int64(math.Float64bits(float64(st.get(in.Rs1)))))
 	case isa.FCVTFI:
-		st.set(in.Rd, int64(math.Float64frombits(uint64(st.get(in.Rs1)))))
+		st.set(in.Rd, int64(st.getf(in.Rs1)))
 	default:
-		if intFoldable(in.Op) {
-			st.set(in.Rd, foldInt(in.Op, st.get(in.Rs1), st.get(in.Rs2)))
+		if in.Op.IsIntALU() {
+			b := in.Imm
+			if in.Op.HasRs2() {
+				b = st.get(in.Rs2)
+			}
+			st.set(in.Rd, isa.EvalInt(in.Op, st.get(in.Rs1), b))
 		} else if in.Op.HasRd() {
 			st.set(in.Rd, mix(6, int64(in.Op), st.get(in.Rs1), in.Imm))
 		}
@@ -196,19 +178,7 @@ func (pv *prover) crun(entry *prog.Block, trial int, ref bool) ([]cevent, bool) 
 		case prog.TermFall:
 			to = v.next
 		case prog.TermBranch:
-			a, c := st.get(v.rs1), st.get(v.rs2)
-			taken := false
-			switch v.cmpOp {
-			case isa.BEQ:
-				taken = a == c
-			case isa.BNE:
-				taken = a != c
-			case isa.BLT:
-				taken = a < c
-			case isa.BGE:
-				taken = a >= c
-			}
-			if taken {
+			if isa.Taken(v.cmpOp, st.get(v.rs1), st.get(v.rs2)) {
 				to = v.taken
 			} else {
 				to = v.next

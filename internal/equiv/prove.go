@@ -187,11 +187,11 @@ func (st *symState) set(r isa.Reg, t *Term) {
 	st.regs[r] = t
 }
 
-// stepIns executes one non-terminator instruction symbolically, mirroring
-// cpu.Machine.exec: integer ALU ops fold exactly, loads and stores go
-// through the alias-aware chain, FP ops stay uninterpreted.
+// stepIns executes one non-terminator instruction symbolically: integer
+// ALU ops fold by isa.EvalInt, loads and stores go through the
+// alias-aware chain, FP ops stay uninterpreted.
 func stepIns(it *interner, st *symState, in prog.Ins) {
-	if lop, ok := regImmLower(in.Op); ok {
+	if lop, ok := in.Op.RegForm(); ok {
 		st.set(in.Rd, it.Op2(lop, st.get(it, in.Rs1), it.Const(in.Imm)))
 		return
 	}
@@ -210,7 +210,7 @@ func stepIns(it *interner, st *symState, in prog.Ins) {
 	case isa.FCVTIF, isa.FCVTFI:
 		st.set(in.Rd, it.Op1(in.Op, st.get(it, in.Rs1)))
 	default:
-		if intFoldable(in.Op) || in.Op == isa.FADD || in.Op == isa.FSUB ||
+		if in.Op.IsIntALU() || in.Op == isa.FADD || in.Op == isa.FSUB ||
 			in.Op == isa.FMUL || in.Op == isa.FDIV || in.Op == isa.FSLT {
 			st.set(in.Rd, it.Op2(in.Op, st.get(it, in.Rs1), st.get(it, in.Rs2)))
 			return

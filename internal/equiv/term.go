@@ -206,64 +206,6 @@ func (it *interner) CodeAddr(blk *prog.Block, target int64) *Term {
 	return it.mk(kCodeAddr, isa.NOP, nil, nil, nil, target, blk)
 }
 
-// intFoldable reports whether op is an integer ALU operation with exact
-// machine semantics the interner folds; FP operations stay uninterpreted
-// (both versions build identical FP terms, so folding buys nothing and
-// risks diverging from the machine's float behavior).
-func intFoldable(op isa.Opcode) bool {
-	switch op {
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR,
-		isa.XOR, isa.SHL, isa.SHR, isa.SLT, isa.SEQ:
-		return true
-	}
-	return false
-}
-
-// foldInt mirrors cpu.Machine.exec exactly: division and remainder by
-// zero yield 0, shifts mask their amount to 6 bits, SHR is logical, SLT
-// is signed.
-func foldInt(op isa.Opcode, a, b int64) int64 {
-	switch op {
-	case isa.ADD:
-		return a + b
-	case isa.SUB:
-		return a - b
-	case isa.MUL:
-		return a * b
-	case isa.DIV:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.REM:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.XOR:
-		return a ^ b
-	case isa.SHL:
-		return a << uint(b&63)
-	case isa.SHR:
-		return int64(uint64(a) >> uint(b&63))
-	case isa.SLT:
-		if a < b {
-			return 1
-		}
-		return 0
-	case isa.SEQ:
-		if a == b {
-			return 1
-		}
-		return 0
-	}
-	panic("equiv: foldInt on non-integer opcode " + op.String())
-}
-
 // commutative reports ops whose operands the interner may canonically
 // reorder. The passes never rewrite operand order inside an instruction,
 // but canonical form makes address terms built through different
@@ -277,12 +219,14 @@ func commutative(op isa.Opcode) bool {
 }
 
 // Op2 builds (or folds) a two-operand ALU term. Register-immediate forms
-// are lowered to their register-register opcode with a constant operand
-// before reaching here.
+// are lowered to their register-register opcode (isa.Opcode.RegForm) with
+// a constant operand before reaching here. Integer operations fold by
+// isa.EvalInt; FP operations stay uninterpreted (both versions build
+// identical FP terms, so folding buys nothing).
 func (it *interner) Op2(op isa.Opcode, a, b *Term) *Term {
-	if intFoldable(op) {
+	if op.IsIntALU() {
 		if a.kind == kConst && b.kind == kConst {
-			return it.Const(foldInt(op, a.k, b.k))
+			return it.Const(isa.EvalInt(op, a.k, b.k))
 		}
 		if commutative(op) {
 			// Constants to the right; otherwise order by ID. This is what
@@ -359,14 +303,7 @@ func (it *interner) Op1(op isa.Opcode, a *Term) *Term {
 // inversions collapse to the same predicate term.
 func (it *interner) Pred(op isa.Opcode, a, b *Term) *Term {
 	if a.kind == kConst && b.kind == kConst {
-		hold := false
-		switch op {
-		case isa.BEQ:
-			hold = a.k == b.k
-		case isa.BLT:
-			hold = a.k < b.k
-		}
-		if hold {
+		if isa.Taken(op, a.k, b.k) {
 			return it.one
 		}
 		return it.zero
@@ -455,30 +392,6 @@ func (it *interner) Load(mem, addr *Term) *Term {
 		m = m.a
 	}
 	return it.mk(kLoad, isa.NOP, m, addr, nil, 0, nil)
-}
-
-// regImmLower maps a register-immediate ALU opcode to its register-
-// register twin (the immediate becomes a constant operand).
-func regImmLower(op isa.Opcode) (isa.Opcode, bool) {
-	switch op {
-	case isa.ADDI:
-		return isa.ADD, true
-	case isa.MULI:
-		return isa.MUL, true
-	case isa.ANDI:
-		return isa.AND, true
-	case isa.ORI:
-		return isa.OR, true
-	case isa.XORI:
-		return isa.XOR, true
-	case isa.SHLI:
-		return isa.SHL, true
-	case isa.SHRI:
-		return isa.SHR, true
-	case isa.SLTI:
-		return isa.SLT, true
-	}
-	return op, false
 }
 
 // String renders the term as a depth-capped s-expression for diagnostics.

@@ -1,15 +1,18 @@
 package equiv
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/prog"
 )
 
 // Term canonicalization tests: the prover's soundness rests on interned
 // terms being pointer-equal iff semantically identified by the
-// normalization rules, and on foldInt matching machine semantics exactly.
+// normalization rules, and on constant folding matching isa's semantics
+// exactly.
 
 func TestTermInterning(t *testing.T) {
 	it := newInterner()
@@ -73,27 +76,87 @@ func TestTermIdentities(t *testing.T) {
 	}
 }
 
+// semOperands are the extreme operand values the prover's evaluators are
+// checked on against internal/isa's definitions.
+var semOperands = []int64{0, 1, -1, 63, 64, 65, math.MinInt64, math.MaxInt64}
+
+var semFloats = []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// TestFoldIntMachineSemantics checks every evaluator in the prover
+// against isa's definitions over every integer ALU opcode, conditional
+// branch and FP opcode × extreme operands: the interner's constant
+// folding (register-immediate forms lowered as stepIns lowers them), the
+// fuzz stepper cstep, the witness evaluator and predicate folding.
 func TestFoldIntMachineSemantics(t *testing.T) {
-	it := newInterner()
-	c := func(v int64) *Term { return it.Const(v) }
-	cases := []struct {
-		name string
-		got  *Term
-		want int64
-	}{
-		{"add", it.Op2(isa.ADD, c(3), c(4)), 7},
-		{"div0", it.Op2(isa.DIV, c(9), c(0)), 0},
-		{"rem0", it.Op2(isa.REM, c(9), c(0)), 0},
-		{"divneg", it.Op2(isa.DIV, c(-7), c(2)), -3},
-		{"shl-mask", it.Op2(isa.SHL, c(1), c(65)), 2},
-		{"shr-logical", it.Op2(isa.SHR, c(-1), c(60)), 15},
-		{"slt-true", it.Op2(isa.SLT, c(-1), c(0)), 1},
-		{"slt-false", it.Op2(isa.SLT, c(0), c(-1)), 0},
-		{"seq", it.Op2(isa.SEQ, c(5), c(5)), 1},
+	pv := &prover{}
+	for op := isa.Opcode(0); int(op) < isa.NumOpcodes; op++ {
+		for _, a := range semOperands {
+			for _, b := range semOperands {
+				switch {
+				case op.IsIntALU():
+					want := isa.EvalInt(op, a, b)
+					it := newInterner()
+					fop := op
+					if twin, ok := op.RegForm(); ok {
+						fop = twin
+					}
+					if got := it.Op2(fop, it.Const(a), it.Const(b)); got.kind != kConst || got.k != want {
+						t.Errorf("fold %v(%d, %d) = %s, want %d", op, a, b, got, want)
+					}
+					st := &cstate{}
+					st.regs[1], st.regs[2] = a, b
+					pv.cstep(st, prog.Ins{Inst: isa.Inst{Op: op, Rd: 3, Rs1: 1, Rs2: 2, Imm: b}})
+					if st.regs[3] != want {
+						t.Errorf("cstep %v(%d, %d) = %d, want %d", op, a, b, st.regs[3], want)
+					}
+					if !op.HasImm() {
+						ev := newTermEval(1)
+						ev.init[1], ev.init[2] = a, b
+						if got := ev.eval(it.mk(kOp, op, it.Init(1), it.Init(2), nil, 0, nil)); got != want {
+							t.Errorf("witness eval %v(%d, %d) = %d, want %d", op, a, b, got, want)
+						}
+					}
+				case op.IsCondBranch():
+					it := newInterner()
+					st := &symState{}
+					st.regs[1], st.regs[2] = it.Const(a), it.Const(b)
+					pred, takenIfTrue := canonBranch(it, st, view{cmpOp: op, rs1: 1, rs2: 2})
+					if got := (pred == it.one) == takenIfTrue; got != isa.Taken(op, a, b) {
+						t.Errorf("pred fold %v(%d, %d) taken = %v, want %v", op, a, b, got, !got)
+					}
+					ev := newTermEval(1)
+					ev.init[1], ev.init[2] = a, b
+					sym := &symState{}
+					sym.regs[1], sym.regs[2] = it.Init(1), it.Init(2)
+					pred, takenIfTrue = canonBranch(it, sym, view{cmpOp: op, rs1: 1, rs2: 2})
+					if got := (ev.eval(pred) != 0) == takenIfTrue; got != isa.Taken(op, a, b) {
+						t.Errorf("witness pred %v(%d, %d) taken = %v, want %v", op, a, b, got, !got)
+					}
+				}
+			}
+		}
 	}
-	for _, cse := range cases {
-		if cse.got.kind != kConst || cse.got.k != cse.want {
-			t.Errorf("%s: got %s, want const %d", cse.name, cse.got, cse.want)
+	for _, op := range []isa.Opcode{isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FSLT} {
+		for _, a := range semFloats {
+			for _, b := range semFloats {
+				var want int64
+				if op == isa.FSLT {
+					want = isa.FSlt(a, b)
+				} else {
+					want = int64(math.Float64bits(isa.EvalFP(op, a, b)))
+				}
+				st := &cstate{}
+				st.regs[isa.F(1)] = int64(math.Float64bits(a))
+				st.regs[isa.F(2)] = int64(math.Float64bits(b))
+				rd := isa.F(3)
+				if op == isa.FSLT {
+					rd = 3
+				}
+				pv.cstep(st, prog.Ins{Inst: isa.Inst{Op: op, Rd: rd, Rs1: isa.F(1), Rs2: isa.F(2)}})
+				if got := st.regs[rd]; got != want {
+					t.Errorf("cstep %v(%g, %g) = %#x, want %#x", op, a, b, got, want)
+				}
+			}
 		}
 	}
 }
@@ -190,8 +253,8 @@ func TestRegImmLowering(t *testing.T) {
 	it := newInterner()
 	a := it.Init(4)
 	got := it.Op2(isa.ADD, a, it.Const(5))
-	// stepIns lowers ADDI r,a,5 through regImmLower to the same term.
-	op, ok := regImmLower(isa.ADDI)
+	// stepIns lowers ADDI r,a,5 through isa's RegForm to the same term.
+	op, ok := isa.ADDI.RegForm()
 	if !ok || op != isa.ADD {
 		t.Fatalf("ADDI should lower to ADD")
 	}

@@ -61,18 +61,14 @@ func (ev *termEval) eval(t *Term) int64 {
 	case kCodeAddr:
 		v = codeAddrVal(t.blk, t.k)
 	case kPred:
-		a, b := ev.eval(t.a), ev.eval(t.b)
-		switch {
-		case t.op == isa.BEQ && a == b:
-			v = 1
-		case t.op == isa.BLT && a < b:
+		if isa.Taken(t.op, ev.eval(t.a), ev.eval(t.b)) {
 			v = 1
 		}
 	case kLoad:
 		v = ev.evalLoad(t.a, ev.eval(t.b))
 	case kOp:
-		if intFoldable(t.op) {
-			v = foldInt(t.op, ev.eval(t.a), ev.eval(t.b))
+		if t.op.IsIntALU() {
+			v = isa.EvalInt(t.op, ev.eval(t.a), ev.eval(t.b))
 		} else if t.b != nil {
 			v = mix(6, int64(t.op), ev.eval(t.a), ev.eval(t.b))
 		} else {

@@ -165,13 +165,49 @@ func (c FUClass) String() string {
 	}
 }
 
+// RegClass is the register file an operand must name.
+type RegClass uint8
+
+// Operand register classes.
+const (
+	NoReg  RegClass = iota // the opcode does not use the operand
+	IntReg                 // r0..r31
+	FPReg                  // f0..f15
+)
+
+func (c RegClass) String() string {
+	switch c {
+	case IntReg:
+		return "integer"
+	case FPReg:
+		return "floating-point"
+	default:
+		return "no"
+	}
+}
+
+// holds reports whether r names a register of class c.
+func (c RegClass) holds(r Reg) bool {
+	switch c {
+	case IntReg:
+		return r < NumIntRegs
+	case FPReg:
+		return r.IsFP()
+	}
+	return true
+}
+
 // opInfo is the static description of one opcode.
 type opInfo struct {
 	name    string
 	fu      FUClass
 	latency int // cycles from issue to result availability (L1 hit for loads)
-	// operand shape flags
-	hasRd, hasRs1, hasRs2, hasImm, hasTarget bool
+	// operand register classes; NoReg marks an unused operand
+	rd, rs1, rs2      RegClass
+	hasImm, hasTarget bool
+	// regForm is a register-immediate ALU opcode's register-register
+	// twin (ADDI -> ADD); NOP for every other opcode.
+	regForm Opcode
 }
 
 // OpMeta is the flattened per-opcode metadata consulted on the simulator's
@@ -199,9 +235,9 @@ func init() {
 		Meta[op] = OpMeta{
 			FU:           info.fu,
 			Latency:      uint8(info.latency),
-			HasRd:        info.hasRd,
-			HasRs1:       info.hasRs1,
-			HasRs2:       info.hasRs2,
+			HasRd:        info.rd != NoReg,
+			HasRs1:       info.rs1 != NoReg,
+			HasRs2:       info.rs2 != NoReg,
 			IsControl:    op.isControlSlow(),
 			IsCondBranch: op.isCondBranchSlow(),
 		}
@@ -211,51 +247,51 @@ func init() {
 var opTable = [numOpcodes]opInfo{
 	NOP: {name: "nop", fu: FUNone, latency: 1},
 
-	ADD: {name: "add", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
-	SUB: {name: "sub", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
-	MUL: {name: "mul", fu: FUIALU, latency: 3, hasRd: true, hasRs1: true, hasRs2: true},
-	DIV: {name: "div", fu: FUIALU, latency: 8, hasRd: true, hasRs1: true, hasRs2: true},
-	REM: {name: "rem", fu: FUIALU, latency: 8, hasRd: true, hasRs1: true, hasRs2: true},
-	AND: {name: "and", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
-	OR:  {name: "or", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
-	XOR: {name: "xor", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
-	SHL: {name: "shl", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
-	SHR: {name: "shr", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
-	SLT: {name: "slt", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
-	SEQ: {name: "seq", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasRs2: true},
+	ADD: {name: "add", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	SUB: {name: "sub", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	MUL: {name: "mul", fu: FUIALU, latency: 3, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	DIV: {name: "div", fu: FUIALU, latency: 8, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	REM: {name: "rem", fu: FUIALU, latency: 8, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	AND: {name: "and", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	OR:  {name: "or", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	XOR: {name: "xor", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	SHL: {name: "shl", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	SHR: {name: "shr", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	SLT: {name: "slt", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
+	SEQ: {name: "seq", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, rs2: IntReg},
 
-	ADDI: {name: "addi", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasImm: true},
-	MULI: {name: "muli", fu: FUIALU, latency: 3, hasRd: true, hasRs1: true, hasImm: true},
-	ANDI: {name: "andi", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasImm: true},
-	ORI:  {name: "ori", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasImm: true},
-	XORI: {name: "xori", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasImm: true},
-	SHLI: {name: "shli", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasImm: true},
-	SHRI: {name: "shri", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasImm: true},
-	SLTI: {name: "slti", fu: FUIALU, latency: 1, hasRd: true, hasRs1: true, hasImm: true},
-	LI:   {name: "li", fu: FUIALU, latency: 1, hasRd: true, hasImm: true},
+	ADDI: {name: "addi", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, hasImm: true, regForm: ADD},
+	MULI: {name: "muli", fu: FUIALU, latency: 3, rd: IntReg, rs1: IntReg, hasImm: true, regForm: MUL},
+	ANDI: {name: "andi", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, hasImm: true, regForm: AND},
+	ORI:  {name: "ori", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, hasImm: true, regForm: OR},
+	XORI: {name: "xori", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, hasImm: true, regForm: XOR},
+	SHLI: {name: "shli", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, hasImm: true, regForm: SHL},
+	SHRI: {name: "shri", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, hasImm: true, regForm: SHR},
+	SLTI: {name: "slti", fu: FUIALU, latency: 1, rd: IntReg, rs1: IntReg, hasImm: true, regForm: SLT},
+	LI:   {name: "li", fu: FUIALU, latency: 1, rd: IntReg, hasImm: true},
 
-	LD: {name: "ld", fu: FUMem, latency: 3, hasRd: true, hasRs1: true, hasImm: true},
-	ST: {name: "st", fu: FUMem, latency: 1, hasRs1: true, hasRs2: true, hasImm: true},
+	LD: {name: "ld", fu: FUMem, latency: 3, rd: IntReg, rs1: IntReg, hasImm: true},
+	ST: {name: "st", fu: FUMem, latency: 1, rs1: IntReg, rs2: IntReg, hasImm: true},
 
-	FADD:   {name: "fadd", fu: FUFP, latency: 3, hasRd: true, hasRs1: true, hasRs2: true},
-	FSUB:   {name: "fsub", fu: FUFP, latency: 3, hasRd: true, hasRs1: true, hasRs2: true},
-	FMUL:   {name: "fmul", fu: FUFP, latency: 3, hasRd: true, hasRs1: true, hasRs2: true},
-	FDIV:   {name: "fdiv", fu: FUFP, latency: 8, hasRd: true, hasRs1: true, hasRs2: true},
-	FSLT:   {name: "fslt", fu: FUFP, latency: 3, hasRd: true, hasRs1: true, hasRs2: true},
-	FCVTIF: {name: "fcvtif", fu: FUFP, latency: 3, hasRd: true, hasRs1: true},
-	FCVTFI: {name: "fcvtfi", fu: FUFP, latency: 3, hasRd: true, hasRs1: true},
-	FLD:    {name: "fld", fu: FUMem, latency: 3, hasRd: true, hasRs1: true, hasImm: true},
-	FST:    {name: "fst", fu: FUMem, latency: 1, hasRs1: true, hasRs2: true, hasImm: true},
+	FADD:   {name: "fadd", fu: FUFP, latency: 3, rd: FPReg, rs1: FPReg, rs2: FPReg},
+	FSUB:   {name: "fsub", fu: FUFP, latency: 3, rd: FPReg, rs1: FPReg, rs2: FPReg},
+	FMUL:   {name: "fmul", fu: FUFP, latency: 3, rd: FPReg, rs1: FPReg, rs2: FPReg},
+	FDIV:   {name: "fdiv", fu: FUFP, latency: 8, rd: FPReg, rs1: FPReg, rs2: FPReg},
+	FSLT:   {name: "fslt", fu: FUFP, latency: 3, rd: IntReg, rs1: FPReg, rs2: FPReg},
+	FCVTIF: {name: "fcvtif", fu: FUFP, latency: 3, rd: FPReg, rs1: IntReg},
+	FCVTFI: {name: "fcvtfi", fu: FUFP, latency: 3, rd: IntReg, rs1: FPReg},
+	FLD:    {name: "fld", fu: FUMem, latency: 3, rd: FPReg, rs1: IntReg, hasImm: true},
+	FST:    {name: "fst", fu: FUMem, latency: 1, rs1: IntReg, rs2: FPReg, hasImm: true},
 
-	BEQ:  {name: "beq", fu: FUBranch, latency: 1, hasRs1: true, hasRs2: true, hasTarget: true},
-	BNE:  {name: "bne", fu: FUBranch, latency: 1, hasRs1: true, hasRs2: true, hasTarget: true},
-	BLT:  {name: "blt", fu: FUBranch, latency: 1, hasRs1: true, hasRs2: true, hasTarget: true},
-	BGE:  {name: "bge", fu: FUBranch, latency: 1, hasRs1: true, hasRs2: true, hasTarget: true},
+	BEQ:  {name: "beq", fu: FUBranch, latency: 1, rs1: IntReg, rs2: IntReg, hasTarget: true},
+	BNE:  {name: "bne", fu: FUBranch, latency: 1, rs1: IntReg, rs2: IntReg, hasTarget: true},
+	BLT:  {name: "blt", fu: FUBranch, latency: 1, rs1: IntReg, rs2: IntReg, hasTarget: true},
+	BGE:  {name: "bge", fu: FUBranch, latency: 1, rs1: IntReg, rs2: IntReg, hasTarget: true},
 	JMP:  {name: "jmp", fu: FUBranch, latency: 1, hasTarget: true},
 	CALL: {name: "call", fu: FUBranch, latency: 1, hasTarget: true},
 	RET:  {name: "ret", fu: FUBranch, latency: 1},
-	JR:   {name: "jr", fu: FUBranch, latency: 1, hasRs1: true},
-	LA:   {name: "la", fu: FUIALU, latency: 1, hasRd: true, hasTarget: true},
+	JR:   {name: "jr", fu: FUBranch, latency: 1, rs1: IntReg},
+	LA:   {name: "la", fu: FUIALU, latency: 1, rd: IntReg, hasTarget: true},
 	HALT: {name: "halt", fu: FUNone, latency: 1},
 }
 
@@ -288,19 +324,33 @@ func (op Opcode) Latency() int {
 }
 
 // HasRd reports whether op writes a destination register.
-func (op Opcode) HasRd() bool { return op.Valid() && opTable[op].hasRd }
+func (op Opcode) HasRd() bool { return op.Valid() && opTable[op].rd != NoReg }
 
 // HasRs1 reports whether op reads Rs1.
-func (op Opcode) HasRs1() bool { return op.Valid() && opTable[op].hasRs1 }
+func (op Opcode) HasRs1() bool { return op.Valid() && opTable[op].rs1 != NoReg }
 
 // HasRs2 reports whether op reads Rs2.
-func (op Opcode) HasRs2() bool { return op.Valid() && opTable[op].hasRs2 }
+func (op Opcode) HasRs2() bool { return op.Valid() && opTable[op].rs2 != NoReg }
 
 // HasImm reports whether op carries an immediate operand.
 func (op Opcode) HasImm() bool { return op.Valid() && opTable[op].hasImm }
 
 // HasTarget reports whether op carries a control-flow target.
 func (op Opcode) HasTarget() bool { return op.Valid() && opTable[op].hasTarget }
+
+// RegForm returns the register-register twin of a register-immediate ALU
+// opcode (ADDI -> ADD), whose result the immediate form computes with the
+// immediate as its second operand. ok is false for every other opcode.
+func (op Opcode) RegForm() (twin Opcode, ok bool) {
+	if !op.Valid() || opTable[op].regForm == NOP {
+		return op, false
+	}
+	return opTable[op].regForm, true
+}
+
+// IsIntALU reports whether EvalInt defines op: the integer ALU opcodes in
+// register-register and register-immediate form.
+func (op Opcode) IsIntALU() bool { return Meta[op].FU == FUIALU && Meta[op].HasRs1 }
 
 // IsCondBranch reports whether op is a conditional branch — the instruction
 // class profiled by the Branch Behavior Buffer.
@@ -351,6 +401,47 @@ type Inst struct {
 	Target int64
 }
 
+// OperandError reports an instruction operand that names a register
+// outside the class its opcode requires, such as an FP register as the
+// source of an integer ADD.
+type OperandError struct {
+	Inst    Inst
+	Operand string // "rd", "rs1" or "rs2"
+	Want    RegClass
+}
+
+func (e *OperandError) Error() string {
+	r := e.Inst.Rd
+	switch e.Operand {
+	case "rs1":
+		r = e.Inst.Rs1
+	case "rs2":
+		r = e.Inst.Rs2
+	}
+	return fmt.Sprintf("isa: %v: %s %v is not in the %v register file", e.Inst, e.Operand, r, e.Want)
+}
+
+// CheckOperands returns an *OperandError when an operand in uses names a
+// register of the wrong class (or no register at all). Operands the opcode
+// does not use are not checked. Every image satisfies this check, so the
+// interpreters may index a register file by an operand without a class
+// test.
+func (in Inst) CheckOperands() error {
+	if !in.Op.Valid() {
+		return fmt.Errorf("isa: invalid opcode %d", uint8(in.Op))
+	}
+	info := &opTable[in.Op]
+	switch {
+	case !info.rd.holds(in.Rd):
+		return &OperandError{Inst: in, Operand: "rd", Want: info.rd}
+	case !info.rs1.holds(in.Rs1):
+		return &OperandError{Inst: in, Operand: "rs1", Want: info.rs1}
+	case !info.rs2.holds(in.Rs2):
+		return &OperandError{Inst: in, Operand: "rs2", Want: info.rs2}
+	}
+	return nil
+}
+
 // Defs returns the register op writes, and ok=false if it writes none.
 // CALL's implicit write of RRA is reported here so dependence analysis and
 // the scoreboard see it.
@@ -397,21 +488,21 @@ func (in Inst) Append(dst []byte) []byte {
 	case in.Op == LA:
 		dst = in.Rd.Append(append(dst, ' '))
 		return strconv.AppendInt(append(dst, ", @"...), in.Target, 10)
-	case info.hasTarget && info.hasRs1: // conditional branches
+	case info.hasTarget && info.rs1 != NoReg: // conditional branches
 		dst = in.Rs1.Append(append(dst, ' '))
 		dst = in.Rs2.Append(append(dst, ", "...))
 		return strconv.AppendInt(append(dst, ", @"...), in.Target, 10)
 	case info.hasTarget:
 		return strconv.AppendInt(append(dst, " @"...), in.Target, 10)
-	case info.hasRd && info.hasRs1 && info.hasRs2:
+	case info.rd != NoReg && info.rs1 != NoReg && info.rs2 != NoReg:
 		dst = in.Rd.Append(append(dst, ' '))
 		dst = in.Rs1.Append(append(dst, ", "...))
 		return in.Rs2.Append(append(dst, ", "...))
-	case info.hasRd && info.hasRs1 && info.hasImm:
+	case info.rd != NoReg && info.rs1 != NoReg && info.hasImm:
 		dst = in.Rd.Append(append(dst, ' '))
 		dst = in.Rs1.Append(append(dst, ", "...))
 		return strconv.AppendInt(append(dst, ", "...), in.Imm, 10)
-	case info.hasRd && info.hasRs1:
+	case info.rd != NoReg && info.rs1 != NoReg:
 		dst = in.Rd.Append(append(dst, ' '))
 		return in.Rs1.Append(append(dst, ", "...))
 	default:

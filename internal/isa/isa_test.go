@@ -181,15 +181,15 @@ func instStringFmt(in Inst) string {
 		return fmt.Sprintf("%s %s, %d", info.name, r(in.Rd), in.Imm)
 	case in.Op == LA:
 		return fmt.Sprintf("%s %s, @%d", info.name, r(in.Rd), in.Target)
-	case info.hasTarget && info.hasRs1:
+	case info.hasTarget && info.rs1 != NoReg:
 		return fmt.Sprintf("%s %s, %s, @%d", info.name, r(in.Rs1), r(in.Rs2), in.Target)
 	case info.hasTarget:
 		return fmt.Sprintf("%s @%d", info.name, in.Target)
-	case info.hasRd && info.hasRs1 && info.hasRs2:
+	case info.rd != NoReg && info.rs1 != NoReg && info.rs2 != NoReg:
 		return fmt.Sprintf("%s %s, %s, %s", info.name, r(in.Rd), r(in.Rs1), r(in.Rs2))
-	case info.hasRd && info.hasRs1 && info.hasImm:
+	case info.rd != NoReg && info.rs1 != NoReg && info.hasImm:
 		return fmt.Sprintf("%s %s, %s, %d", info.name, r(in.Rd), r(in.Rs1), in.Imm)
-	case info.hasRd && info.hasRs1:
+	case info.rd != NoReg && info.rs1 != NoReg:
 		return fmt.Sprintf("%s %s, %s", info.name, r(in.Rd), r(in.Rs1))
 	default:
 		return info.name

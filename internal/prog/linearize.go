@@ -36,7 +36,8 @@ func (img *Image) BlockAt(addr int64) *Block {
 // in Program.Funcs order and blocks in Func.Blocks (layout) order, so code
 // layout decisions are visible to the fetch and I-cache models. Fallthrough
 // edges to non-adjacent blocks cost an extra jump slot, exactly as on a
-// real machine.
+// real machine. Every emitted instruction must pass
+// isa.Inst.CheckOperands, so an image never holds a cross-class operand.
 func (p *Program) Linearize() (*Image, error) {
 	if p.Main == nil {
 		return nil, fmt.Errorf("prog: linearize: program has no Main function")
@@ -181,6 +182,11 @@ func (p *Program) Linearize() (*Image, error) {
 			emit(b, isa.Inst{Op: isa.JR, Rs1: b.Rs1})
 		default:
 			return nil, fmt.Errorf("prog: linearize: block %s has invalid terminator %v", b, b.Kind)
+		}
+	}
+	for pc, in := range img.Code {
+		if err := in.CheckOperands(); err != nil {
+			return nil, fmt.Errorf("prog: linearize: block %s: %w", img.AddrBlock[pc], err)
 		}
 	}
 	img.Entry = blockAddr[p.Main.Entry()]

@@ -19,9 +19,11 @@ import (
 //   - every arc target and call target belongs to this program. Arcs may
 //     cross function boundaries only when a package function is involved
 //     (launch points, package links and side exits back to original code).
-//   - instruction operands are valid registers; control-flow opcodes never
-//     appear in block bodies; LA instructions with a BlockTarget point at
-//     blocks of this program.
+//   - instruction operands are valid registers of the class each opcode
+//     requires (isa.Inst.CheckOperands), terminators' compare and jump
+//     registers included; control-flow opcodes never appear in block
+//     bodies; LA instructions with a BlockTarget point at blocks of this
+//     program.
 func (p *Program) Verify() error {
 	if p.Main == nil {
 		return fmt.Errorf("prog: verify: Main is nil")
@@ -85,8 +87,8 @@ func (p *Program) Verify() error {
 				if !b.CmpOp.IsCondBranch() {
 					return fmt.Errorf("prog: verify: branch block %s has CmpOp %v", b, b.CmpOp)
 				}
-				if !b.Rs1.Valid() || !b.Rs2.Valid() {
-					return fmt.Errorf("prog: verify: branch block %s has invalid compare registers", b)
+				if err := (isa.Inst{Op: b.CmpOp, Rs1: b.Rs1, Rs2: b.Rs2}).CheckOperands(); err != nil {
+					return fmt.Errorf("prog: verify: branch block %s: %w", b, err)
 				}
 				if b.Callee != nil {
 					return fmt.Errorf("prog: verify: branch block %s has Callee set", b)
@@ -117,8 +119,8 @@ func (p *Program) Verify() error {
 					return fmt.Errorf("prog: verify: %v block %s has stray terminator fields", b.Kind, b)
 				}
 			case TermJumpReg:
-				if !b.Rs1.Valid() {
-					return fmt.Errorf("prog: verify: jr block %s has invalid register", b)
+				if err := (isa.Inst{Op: isa.JR, Rs1: b.Rs1}).CheckOperands(); err != nil {
+					return fmt.Errorf("prog: verify: jr block %s: %w", b, err)
 				}
 				if b.Taken != nil || b.Next != nil || b.Callee != nil {
 					return fmt.Errorf("prog: verify: jr block %s has stray terminator fields", b)
@@ -137,6 +139,9 @@ func (p *Program) Verify() error {
 					if !r.Valid() {
 						return fmt.Errorf("prog: verify: block %s inst %d has invalid register %d", b, i, uint8(r))
 					}
+				}
+				if err := in.CheckOperands(); err != nil {
+					return fmt.Errorf("prog: verify: block %s inst %d: %w", b, i, err)
 				}
 				if in.BlockTarget != nil {
 					if in.Op != isa.LA {
